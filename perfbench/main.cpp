@@ -192,11 +192,14 @@ int main(int argc, char** argv) {
   int untraced = 0, traced = 0;
   {
     CpuRotation rotation;
-    // Set-up, several times: its median is setup_s.  Cheap set-ups repeat
-    // more (up to 0.25 s in total), so the median rests on enough samples.
+    // Set-up, several times: its median is setup_s.  A shared host slows
+    // single vCPUs for seconds at a time, so a set-up of a few ms is fast or
+    // ~50 % slower depending on the CPU and the moment.  The set-ups
+    // therefore repeat for about a second across all CPUs (at least 7, at
+    // most 401), so their median covers more than one moment of the host.
     // The traced run records the spans of the first one.
     const Clock::time_point setup_start = Clock::now();
-    for (int i = 0; i < 7 || (i < 51 && seconds_since(setup_start) < 0.25);
+    for (int i = 0; i < 7 || (i < 401 && seconds_since(setup_start) < 1.0);
          ++i) {
       spans.set_enabled(o.trace && i == 0);
       rotation.pin(i);
