@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <cinttypes>
 #include <cstdio>
-#include <deque>
 #include <map>
+#include <set>
 #include <stdexcept>
 
 #include "ckpt/format.hpp"
@@ -112,10 +112,9 @@ class ServiceRun {
   ServiceRun(const ServiceConfig& cfg, const std::vector<JobSpec>& jobs)
       : cfg_(cfg) {
     recs_.reserve(jobs.size());
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
+    for (const JobSpec& spec : jobs) {
       Rec rec;
-      rec.spec = jobs[i];
-      rec.seq = i;
+      rec.spec = spec;
       recs_.push_back(std::move(rec));
     }
     blades_.reserve(cfg_.fleet.blades.size());
@@ -157,7 +156,6 @@ class ServiceRun {
 
   struct Rec {
     JobSpec spec;
-    std::size_t seq = 0;
     JobState live;
     std::vector<std::uint8_t> snapshot;  ///< CRC-framed image; empty = none
     RecState state = RecState::Submitted;
@@ -359,7 +357,7 @@ class ServiceRun {
       return;
     }
     if (adm.max_queue > 0 &&
-        static_cast<int>(queue_.size()) >= adm.max_queue) {
+        queued_ >= static_cast<std::size_t>(adm.max_queue)) {
       // Overload: shed the lowest-priority queued job only when the arrival
       // outranks it; otherwise the arrival is the lowest-value work.
       const std::size_t worst = worst_queued();
@@ -380,9 +378,9 @@ class ServiceRun {
     rec.live = make_initial_state(rec.spec, cfg_.seed);
     rec.state = RecState::Queued;
     rec.queue_enter_s = now_s();
-    queue_.push_back(j);
+    enqueue(j);
     CBE_TRACE_EVENT(now_ns(), trace::EventKind::JobAdmit, -1, jid(rec),
-                    rec.spec.tenant, static_cast<std::int64_t>(queue_.size()));
+                    rec.spec.tenant, static_cast<std::int64_t>(queued_));
     try_dispatch();
   }
 
@@ -398,7 +396,7 @@ class ServiceRun {
   void shed(std::size_t j, std::uint64_t displacing_id) {
     Rec& rec = recs_[j];
     trace::ScopedSpan span(span_of(rec));
-    queue_.erase(std::find(queue_.begin(), queue_.end(), j));
+    unqueue(j);
     CBE_TRACE_EVENT(now_ns(), trace::EventKind::JobShed, -1, jid(rec),
                     rec.spec.tenant,
                     static_cast<std::int64_t>(displacing_id));
@@ -408,22 +406,50 @@ class ServiceRun {
 
   static constexpr std::size_t kNone = static_cast<std::size_t>(-1);
 
+  // -- the dispatch queue: priority -> tenant -> job index -------------------
+  // A job's index is its submission seq.  Empty buckets are deleted, and the
+  // picks read only the ends of the index (DESIGN.md §8 "Dispatch").
+
+  void enqueue(std::size_t j) {
+    const JobSpec& spec = recs_[j].spec;
+    queue_[spec.priority][spec.tenant].insert(j);
+    ++queued_;
+  }
+
+  void unqueue(std::size_t j) {
+    const JobSpec& spec = recs_[j].spec;
+    const auto prio = queue_.find(spec.priority);
+    const auto tenant = prio->second.find(spec.tenant);
+    tenant->second.erase(j);
+    if (tenant->second.empty()) prio->second.erase(tenant);
+    if (prio->second.empty()) queue_.erase(prio);
+    --queued_;
+  }
+
+  /// Next job to dispatch: highest priority first, then the tenant with the
+  /// least work currently running (fairness), then submission order.
+  /// O(tenants at that priority).  The queue must be non-empty.
+  std::size_t best_queued() {
+    std::size_t best = kNone;
+    int best_running = 0;
+    for (const auto& [tenant, jobs] : std::prev(queue_.end())->second) {
+      const int running = tenant_running_[tenant];
+      if (best == kNone || running < best_running ||
+          (running == best_running && *jobs.begin() < best)) {
+        best = *jobs.begin();
+        best_running = running;
+      }
+    }
+    return best;
+  }
+
   /// Lowest-priority queued job; youngest breaks ties (it has the least
   /// sunk queueing investment).  kNone when the queue is empty.
   std::size_t worst_queued() const {
-    std::size_t worst = kNone;
-    for (std::size_t j : queue_) {
-      if (worst == kNone) {
-        worst = j;
-        continue;
-      }
-      const Rec& a = recs_[j];
-      const Rec& b = recs_[worst];
-      if (a.spec.priority != b.spec.priority) {
-        if (a.spec.priority < b.spec.priority) worst = j;
-      } else if (a.seq > b.seq) {
-        worst = j;
-      }
+    if (queue_.empty()) return kNone;
+    std::size_t worst = 0;
+    for (const auto& [tenant, jobs] : queue_.begin()->second) {
+      worst = std::max(worst, *jobs.rbegin());
     }
     return worst;
   }
@@ -444,7 +470,7 @@ class ServiceRun {
   }
 
   void try_dispatch() {
-    while (!queue_.empty()) {
+    while (queued_ > 0) {
       // Fastest eligible blade; free slots, then index, break ties.
       int target = -1;
       for (int i = 0; i < static_cast<int>(blades_.size()); ++i) {
@@ -464,25 +490,8 @@ class ServiceRun {
         }
       }
       if (target < 0) return;
-
-      // Best queued job: priority first, then the tenant with the least
-      // work currently running (fairness), then submission order.
-      auto best = queue_.begin();
-      for (auto it = std::next(queue_.begin()); it != queue_.end(); ++it) {
-        const Rec& a = recs_[*it];
-        const Rec& b = recs_[*best];
-        const int ar = tenant_running_[a.spec.tenant];
-        const int br = tenant_running_[b.spec.tenant];
-        if (a.spec.priority != b.spec.priority) {
-          if (a.spec.priority > b.spec.priority) best = it;
-        } else if (ar != br) {
-          if (ar < br) best = it;
-        } else if (a.seq < b.seq) {
-          best = it;
-        }
-      }
-      const std::size_t j = *best;
-      queue_.erase(best);
+      const std::size_t j = best_queued();
+      unqueue(j);
       dispatch(j, target);
     }
   }
@@ -656,7 +665,7 @@ class ServiceRun {
     Rec& rec = recs_[j];
     if (rec.state != RecState::Backoff) return;
     rec.state = RecState::Queued;
-    queue_.push_back(j);
+    enqueue(j);
     try_dispatch();
   }
 
@@ -699,6 +708,13 @@ class ServiceRun {
     CBE_TRACE_EVENT(now_ns(), trace::EventKind::Quarantine, blade_idx, -1,
                     b.corruption_strikes, cfg_.quarantine_threshold);
     trace::dump_flight_recorder("quarantine");
+    migrate_all_off(blade_idx);
+  }
+
+  /// Requeues every job running on the lost blade `blade_idx` from its last
+  /// snapshot: a migration, so the retry budget is untouched.
+  void migrate_all_off(int blade_idx) {
+    Blade& b = blades_[static_cast<std::size_t>(blade_idx)];
     std::vector<std::size_t> victims = std::move(b.running_jobs);
     b.running_jobs.clear();
     b.running = 0;
@@ -716,7 +732,7 @@ class ServiceRun {
       CBE_TRACE_EVENT(now_ns(), trace::EventKind::JobMigrate, -1, jid(rec),
                       blade_idx, rec.live.steps_done);
       rec.state = RecState::Queued;
-      queue_.push_back(j);
+      enqueue(j);
     }
     try_dispatch();
   }
@@ -740,26 +756,7 @@ class ServiceRun {
     ++blade_failures_;
     CBE_TRACE_EVENT(ev.at.nanoseconds(), trace::EventKind::BladeFail, ev.node,
                     -1, b.running, 1);
-    std::vector<std::size_t> victims = std::move(b.running_jobs);
-    b.running_jobs.clear();
-    b.running = 0;
-    for (std::size_t j : victims) {
-      Rec& rec = recs_[j];
-      eng_.cancel(rec.step_ev);
-      eng_.cancel(rec.watchdog_ev);
-      rec.step_ev = rec.watchdog_ev = sim::EventId{};
-      --tenant_running_[rec.spec.tenant];
-      rec.blade = -1;
-      ++rec.migrations;
-      ++migrations_;
-      recover_state(rec);
-      trace::ScopedSpan span(span_of(rec));
-      CBE_TRACE_EVENT(now_ns(), trace::EventKind::JobMigrate, -1, jid(rec),
-                      ev.node, rec.live.steps_done);
-      rec.state = RecState::Queued;
-      queue_.push_back(j);
-    }
-    try_dispatch();
+    migrate_all_off(ev.node);
   }
 
   // -- deadlines & teardown --------------------------------------------------
@@ -773,7 +770,7 @@ class ServiceRun {
       Blade& b = blades_[static_cast<std::size_t>(rec.blade)];
       detach_from_blade(rec, b);
     } else if (rec.state == RecState::Queued) {
-      queue_.erase(std::find(queue_.begin(), queue_.end(), j));
+      unqueue(j);
     }
     ++deadline_exceeded_;
     finish(rec, JobStatus::DeadlineExceeded, /*tenant_admitted=*/true);
@@ -838,7 +835,7 @@ class ServiceRun {
     snap.breaker_opens = breaker_opens_;
     snap.quarantined_blades = quarantined_blades_;
     snap.corrupt_detected = corrupt_detected_;
-    snap.queue_depth = static_cast<int>(queue_.size());
+    snap.queue_depth = static_cast<int>(queued_);
     if (!latency_samples_.empty()) {
       snap.p50_latency_s = util::percentile(latency_samples_, 50);
       snap.p99_latency_s = util::percentile(latency_samples_, 99);
@@ -1053,7 +1050,9 @@ class ServiceRun {
   sim::Engine eng_;
   std::vector<Rec> recs_;
   std::vector<Blade> blades_;
-  std::deque<std::size_t> queue_;
+  /// priority -> tenant -> queued job indices; see enqueue().
+  std::map<int, std::map<std::uint32_t, std::set<std::size_t>>> queue_;
+  std::size_t queued_ = 0;
   std::map<std::uint32_t, int> tenant_active_;   ///< admitted, non-terminal
   std::map<std::uint32_t, int> tenant_running_;  ///< currently on a blade
   std::vector<double> latency_samples_;

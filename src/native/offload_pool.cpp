@@ -17,6 +17,12 @@ namespace {
 struct WorkerTls {
   OffloadPool* pool = nullptr;
   int index = -1;
+  bool finished = true;  ///< finish_task() already ran for the current task
+#if CBE_TRACE_ENABLED
+  trace::ConcurrentTraceSink::Buffer* buf = nullptr;
+  std::int32_t task_id = 0;
+  std::chrono::steady_clock::time_point t0;
+#endif
 };
 thread_local WorkerTls tls_worker;
 
@@ -146,11 +152,11 @@ std::future<void> OffloadPool::offload_with_retry(
     for (int attempt = 0;; ++attempt) {
       try {
         task();
-        prom->set_value();
+        set_result(*prom);
         return;
       } catch (...) {
         if (attempt >= max_retries) {
-          prom->set_exception(std::current_exception());
+          set_error(*prom, std::current_exception());
           return;
         }
         retries_.fetch_add(1, std::memory_order_relaxed);
@@ -188,26 +194,26 @@ std::future<std::uint64_t> OffloadPool::offload_checked(
       for (int attempt = 0;; ++attempt) {
         const std::uint64_t r = task();
         if (!sampled) {
-          prom->set_value(r);
+          set_result(*prom, r);
           return;
         }
         verified_reexecs_.fetch_add(1, std::memory_order_relaxed);
         if (task() == r) {
-          prom->set_value(r);
+          set_result(*prom, r);
           return;
         }
         integrity_mismatches_.fetch_add(1, std::memory_order_relaxed);
         if (attempt >= max_retries) {
           // Fail closed: agreement was never reached, so no checksum is
           // trustworthy enough to hand back.
-          prom->set_exception(std::make_exception_ptr(IntegrityError(
+          set_error(*prom, std::make_exception_ptr(IntegrityError(
               "offload_checked: redundant executions kept disagreeing")));
           return;
         }
         retries_.fetch_add(1, std::memory_order_relaxed);
       }
     } catch (...) {
-      prom->set_exception(std::current_exception());
+      set_error(*prom, std::current_exception());
     }
   });
   return fut;
@@ -313,7 +319,8 @@ void OffloadPool::watchdog_loop() {
 }
 
 void OffloadPool::worker_loop(int index) {
-  tls_worker = WorkerTls{this, index};
+  tls_worker.pool = this;
+  tls_worker.index = index;
 #if CBE_TRACE_ENABLED
   // Lazily (re-)attach this worker's single-writer buffer when a sink is
   // installed; the buffer pointer is thread-private from then on.
@@ -375,24 +382,35 @@ void OffloadPool::worker_loop(int index) {
               .count(),
           trace::EventKind::TaskDispatch, index, task_id);
     }
+    tls_worker.buf = buf;
+    tls_worker.task_id = task_id;
+    tls_worker.t0 = t0;
 #endif
-    job->fn();
+    tls_worker.finished = false;
+    job->fn();  // offload wrappers call finish_task() before publishing
     delete job;
-    tasks_executed_.fetch_add(1, std::memory_order_relaxed);
-#if CBE_TRACE_ENABLED
-    const auto t1 = std::chrono::steady_clock::now();
-    if (buf != nullptr) {
-      buf->record(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - epoch_)
-              .count(),
-          trace::EventKind::TaskComplete, index, task_id);
-    }
-    if (trace::Histogram* h = task_hist_.load(std::memory_order_acquire)) {
-      h->observe(std::chrono::duration<double, std::micro>(t1 - t0).count());
-    }
-#endif
+    finish_task();  // tasks without a future: parallel_for helpers
     busy_.fetch_sub(1, std::memory_order_relaxed);
   }
+}
+
+void OffloadPool::finish_task() noexcept {
+  WorkerTls& w = tls_worker;
+  if (w.pool != this || w.finished) return;
+  w.finished = true;
+  tasks_executed_.fetch_add(1, std::memory_order_relaxed);
+#if CBE_TRACE_ENABLED
+  const auto t1 = std::chrono::steady_clock::now();
+  if (w.buf != nullptr) {
+    w.buf->record(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - epoch_)
+            .count(),
+        trace::EventKind::TaskComplete, w.index, w.task_id);
+  }
+  if (trace::Histogram* h = task_hist_.load(std::memory_order_acquire)) {
+    h->observe(std::chrono::duration<double, std::micro>(t1 - w.t0).count());
+  }
+#endif
 }
 
 void OffloadPool::parallel_for(

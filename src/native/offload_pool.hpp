@@ -108,16 +108,16 @@ class OffloadPool {
   std::future<R> offload_result(F&& f) {
     auto prom = std::make_shared<std::promise<R>>();
     std::future<R> fut = prom->get_future();
-    enqueue([prom, fn = std::forward<F>(f)]() mutable {
+    enqueue([this, prom, fn = std::forward<F>(f)]() mutable {
       try {
         if constexpr (std::is_void_v<R>) {
           fn();
-          prom->set_value();
+          set_result(*prom);
         } else {
-          prom->set_value(fn());
+          set_result(*prom, fn());
         }
       } catch (...) {
-        prom->set_exception(std::current_exception());
+        set_error(*prom, std::current_exception());
       }
     });
     return fut;
@@ -186,6 +186,8 @@ class OffloadPool {
                         body,
                     int degree, std::int64_t grain = 256);
 
+  /// Tasks the workers have completed.  A task counts before its future
+  /// becomes ready, so a caller holding every result sees every task.
   std::uint64_t tasks_executed() const noexcept {
     return tasks_executed_.load(std::memory_order_relaxed);
   }
@@ -240,6 +242,21 @@ class OffloadPool {
       std::chrono::microseconds deadline, std::function<void()> on_timeout);
   void enqueue(std::function<void()> job);
   void worker_loop(int index);
+  /// Per-task bookkeeping (tasks_executed, TaskComplete event, latency
+  /// sample) for the task the calling worker runs; once per task.
+  void finish_task() noexcept;
+  /// Publish a task's outcome after its bookkeeping, so a caller that sees
+  /// the result also sees the task counted and traced as complete.
+  template <typename T, typename... V>
+  void set_result(std::promise<T>& p, V&&... v) {
+    finish_task();
+    p.set_value(std::forward<V>(v)...);
+  }
+  template <typename T>
+  void set_error(std::promise<T>& p, std::exception_ptr e) {
+    finish_task();
+    p.set_exception(std::move(e));
+  }
   void watchdog_loop();
   /// Wakes one parked worker iff any are parked (lock-free check first).
   void wake_one();

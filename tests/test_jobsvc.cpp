@@ -5,7 +5,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cinttypes>
+#include <cstdio>
+#include <cstdlib>
+#include <fstream>
 #include <set>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -331,20 +336,21 @@ TEST(Admission, DispatchInterleavesTenants) {
   }
   ServiceConfig cfg;
   cfg.fleet = platform::BladeFleetConfig::uniform(1, 2);
-  trace::TraceSink sink;
-  const ServiceReport rep = run_with(cfg, jobs, &sink);
+  const ServiceReport rep = run_with(cfg, jobs);
   ASSERT_EQ(rep.completed, jobs.size());
-  if (!CBE_TRACE_ENABLED)
-    GTEST_SKIP() << "dispatch order is observed via trace events";
   // The first dispatches fill straight from arrival order (tenant 0's
   // burst), but as soon as the scheduler picks from a real queue it must
-  // balance: tenant 1 appears well before tenant 0's burst drains.
-  const auto dispatches = events_of_kind(sink, trace::EventKind::JobDispatch);
-  ASSERT_EQ(dispatches.size(), jobs.size());
+  // balance: tenant 1 appears well before tenant 0's burst drains.  Each
+  // job ran once, so dispatch order is first-start order (stable on id).
+  std::vector<JobOutcome> by_start = rep.jobs;
+  for (const JobOutcome& o : by_start) ASSERT_EQ(o.attempts, 1);
+  std::stable_sort(by_start.begin(), by_start.end(),
+                   [](const JobOutcome& a, const JobOutcome& b) {
+                     return a.first_start_s < b.first_start_s;
+                   });
   std::set<std::uint32_t> first_four;
   for (std::size_t i = 0; i < 4; ++i) {
-    first_four.insert(
-        rep.jobs.at(static_cast<std::size_t>(dispatches[i].pid)).spec.tenant);
+    first_four.insert(by_start[i].spec.tenant);
   }
   EXPECT_EQ(first_four.size(), 2u) << "both tenants should hold a slot";
 }
@@ -445,6 +451,87 @@ TEST(Report, EveryJobAppearsOnceInIdOrder) {
   for (std::size_t i = 0; i < rep.jobs.size(); ++i) {
     EXPECT_EQ(rep.jobs[i].spec.id, i);
   }
+}
+
+// -- dispatch order golden ---------------------------------------------------
+
+namespace {
+
+// A queue hundreds deep that runs every path which removes a job from the
+// dispatch queue or puts one back: dispatch, shedding, queued deadlines,
+// retries after step faults and blade-kill migrations.
+ServiceReport deep_queue_run() {
+  JobMixConfig mix;
+  mix.jobs = 2000;
+  mix.tenants = 8;
+  mix.priorities = 4;
+  mix.min_steps = 8;
+  mix.max_steps = 24;
+  mix.arrival_span_s = 4.0;
+  std::vector<JobSpec> jobs = make_job_mix(mix);
+  for (std::size_t i = 0; i < jobs.size(); i += 5) jobs[i].deadline_s = 6.0;
+
+  ServiceConfig cfg;
+  cfg.seed = 77;
+  cfg.fleet.blades = {{1.0, 2}, {2.0, 2}, {0.5, 3}, {1.0, 2}, {1.5, 1}};
+  cfg.admission.max_queue = 900;
+  cfg.admission.shed_lowest = true;
+  cfg.step_fail_rate = 0.01;
+  cfg.fault.seed = 5;
+  cfg.fault_script = {kill_blade(1, 3.0), kill_blade(3, 9.0)};
+  return run_with(cfg, jobs);
+}
+
+// The summary plus one line per job: everything the dispatch order decides.
+std::string deep_queue_text(const ServiceReport& rep) {
+  std::string out = rep.to_text();
+  char line[160];
+  for (const JobOutcome& o : rep.jobs) {
+    std::snprintf(line, sizeof line,
+                  "job %" PRIu64 " %s attempts %d finish_s %.17g blade %d\n",
+                  o.spec.id, job_status_name(o.status), o.attempts,
+                  o.finish_s, o.last_blade);
+    out += line;
+  }
+  return out;
+}
+
+}  // namespace
+
+// Pins the whole dispatch order of a deep, churning queue against a fixture
+// recorded from the original linear-scan scheduler.  Independent of tracing,
+// so both CBE_TRACE legs check it.  Regenerate (only after an intentional
+// scheduling change) with CBE_REGEN_GOLDEN=1 build/tests/test_jobsvc.
+TEST(DispatchOrder, DeepQueueMatchesGolden) {
+  const ServiceReport rep = deep_queue_run();
+  EXPECT_GT(rep.shed, 0u);
+  EXPECT_GT(rep.deadline_exceeded, 0u);
+  EXPECT_GT(rep.migrations, 0u);
+  EXPECT_GT(rep.retries, 0u);
+
+  const std::string path =
+      std::string(CBE_GOLDEN_DIR) + "/jobsvc_deep_queue.txt";
+  const std::string got = deep_queue_text(rep);
+  if (std::getenv("CBE_REGEN_GOLDEN") != nullptr) {
+    ASSERT_TRUE(trace::write_file(path, got));
+    GTEST_SKIP() << "regenerated " << path << "; commit it and re-run";
+  }
+  std::ifstream in(path, std::ios::binary);
+  ASSERT_TRUE(in) << "missing fixture " << path;
+  std::ostringstream want;
+  want << in.rdbuf();
+  // Report the first differing line rather than dumping ~2000 lines.
+  std::istringstream gs(got);
+  std::istringstream ws(want.str());
+  std::string gl, wl;
+  for (int n = 1;; ++n) {
+    const bool gok = static_cast<bool>(std::getline(gs, gl));
+    const bool wok = static_cast<bool>(std::getline(ws, wl));
+    if (!gok && !wok) break;
+    ASSERT_EQ(gok, wok) << "line counts differ at line " << n;
+    ASSERT_EQ(gl, wl) << "first divergence at line " << n;
+  }
+  EXPECT_EQ(got.size(), want.str().size()) << "trailing newline differs";
 }
 
 // -- live status plane (DESIGN.md §12) ---------------------------------------
