@@ -14,6 +14,8 @@ CellMachine::CellMachine(sim::Engine& eng, CellParams params,
   for (int i = 0; i < params_.total_spes(); ++i) {
     spes_.emplace_back(i, params_.cell_of_spe(i), params_.local_store_bytes);
   }
+  idle_usable_ = healthy_ = num_spes();
+  busy_in_cell_.assign(static_cast<std::size_t>(params_.num_cells), 0);
   Ppe::Config pc;
   pc.contexts = params_.contexts_per_ppe;
   pc.clock_ghz = params_.clock_ghz;
@@ -25,35 +27,37 @@ CellMachine::CellMachine(sim::Engine& eng, CellParams params,
   }
 }
 
-std::vector<int> CellMachine::idle_spes(int preferred_cell) const {
-  std::vector<int> out;
-  for (const auto& s : spes_) {
-    if (s.idle() && s.usable() && s.cell() == preferred_cell) {
-      out.push_back(s.id());
+void CellMachine::reserve(int spe_id) {
+  Spe& s = spes_.at(static_cast<std::size_t>(spe_id));
+  s.reserve(eng_.now());
+  ++busy_in_cell_[static_cast<std::size_t>(s.cell())];
+  if (s.usable()) --idle_usable_;
+}
+
+void CellMachine::release(int spe_id) {
+  Spe& s = spes_.at(static_cast<std::size_t>(spe_id));
+  s.release(eng_.now());
+  --busy_in_cell_[static_cast<std::size_t>(s.cell())];
+  if (s.usable()) ++idle_usable_;
+}
+
+void CellMachine::idle_spes(int preferred_cell, std::vector<int>& out) const {
+  out.clear();
+  if (idle_usable_ == 0) return;
+  // Cells own contiguous id ranges, so "preferred Cell first, then the rest
+  // in id order" is one range followed by the ranges around it.
+  const int per = params_.spes_per_cell;
+  const int lo = std::clamp(preferred_cell * per, 0, num_spes());
+  const int hi = std::clamp(lo + per, lo, num_spes());
+  const auto take = [this, &out](int from, int to) {
+    for (int i = from; i < to; ++i) {
+      const Spe& s = spes_[static_cast<std::size_t>(i)];
+      if (s.idle() && s.usable()) out.push_back(i);
     }
-  }
-  for (const auto& s : spes_) {
-    if (s.idle() && s.usable() && s.cell() != preferred_cell) {
-      out.push_back(s.id());
-    }
-  }
-  return out;
-}
-
-int CellMachine::count_idle_spes() const noexcept {
-  int n = 0;
-  for (const auto& s : spes_) n += (s.idle() && s.usable()) ? 1 : 0;
-  return n;
-}
-
-int CellMachine::healthy_spes() const noexcept {
-  int n = 0;
-  for (const auto& s : spes_) n += s.usable() ? 1 : 0;
-  return n;
-}
-
-int CellMachine::failed_spes() const noexcept {
-  return num_spes() - healthy_spes();
+  };
+  take(lo, hi);
+  take(0, lo);
+  take(hi, num_spes());
 }
 
 void CellMachine::install_faults(const sim::FaultPlan& plan) {
@@ -85,17 +89,17 @@ void CellMachine::cancel_pending_faults() noexcept {
 }
 
 void CellMachine::fail_spe(int spe_id) {
-  Spe& s = spe(spe_id);
+  const Spe& s = spe(spe_id);
   if (!s.usable()) return;
   CBE_TRACE_EVENT(eng_.now().nanoseconds(), trace::EventKind::FaultFailStop,
                   spe_id, -1, 0, 0);
-  s.fail(eng_.now());
+  stop_spe(spe_id);
   ++fault_stats_.spe_failures;
   notify_fault_observers(spe_id);
 }
 
 void CellMachine::degrade_spe(int spe_id, double factor) {
-  Spe& s = spe(spe_id);
+  Spe& s = spes_.at(static_cast<std::size_t>(spe_id));
   if (!s.usable()) return;
   CBE_TRACE_EVENT(eng_.now().nanoseconds(), trace::EventKind::FaultDegrade,
                   spe_id, -1, std::llround(factor * 1e6), 0);
@@ -104,177 +108,135 @@ void CellMachine::degrade_spe(int spe_id, double factor) {
 }
 
 void CellMachine::quarantine_spe(int spe_id, int strikes, int threshold) {
-  Spe& s = spe(spe_id);
+  const Spe& s = spe(spe_id);
   if (!s.usable()) return;
   CBE_TRACE_EVENT(eng_.now().nanoseconds(), trace::EventKind::Quarantine,
                   spe_id, -1, strikes, threshold);
-  s.fail(eng_.now());
+  stop_spe(spe_id);
   ++fault_stats_.quarantined;
   notify_fault_observers(spe_id);
 }
 
-int CellMachine::add_fault_observer(FaultObserver obs) {
-  const int id = next_observer_id_++;
-  fault_observers_.emplace_back(id, std::move(obs));
-  return id;
+void CellMachine::stop_spe(int spe_id) {
+  Spe& s = spes_[static_cast<std::size_t>(spe_id)];
+  if (s.idle()) {
+    --idle_usable_;
+  } else {
+    --busy_in_cell_[static_cast<std::size_t>(s.cell())];
+  }
+  --healthy_;
+  s.fail(eng_.now());
 }
 
-void CellMachine::remove_fault_observer(int id) noexcept {
-  for (auto it = fault_observers_.begin(); it != fault_observers_.end();
-       ++it) {
-    if (it->first == id) {
-      fault_observers_.erase(it);
-      return;
-    }
-  }
+void CellMachine::add_fault_observer(FaultObserver* obs) {
+  fault_observers_.push_back(obs);
+}
+
+void CellMachine::remove_fault_observer(FaultObserver* obs) noexcept {
+  const auto it =
+      std::find(fault_observers_.begin(), fault_observers_.end(), obs);
+  if (it != fault_observers_.end()) fault_observers_.erase(it);
 }
 
 void CellMachine::notify_fault_observers(int spe_id) {
-  // Observers may remove themselves (or register new ones) while being
-  // notified; iterate over a snapshot.
-  std::vector<std::pair<int, FaultObserver>> snapshot = fault_observers_;
-  for (auto& [id, obs] : snapshot) obs(spe_id);
+  // An observer may register or remove observers while being notified;
+  // iterate over a snapshot.
+  const std::vector<FaultObserver*> snapshot = fault_observers_;
+  for (FaultObserver* obs : snapshot) obs->on_spe_failure(spe_id);
 }
 
-void CellMachine::ensure_module(int spe_id, std::uint16_t module,
-                                ModuleVariant v, Fn done) {
-  Spe& s = spe(spe_id);
-  if (s.has_module(module, v)) {
-    done();
-    return;
-  }
+bool CellMachine::load_module(int spe_id, std::uint16_t module,
+                              ModuleVariant v, std::size_t& bytes) {
+  Spe& s = spes_.at(static_cast<std::size_t>(spe_id));
+  if (s.has_module(module, v)) return false;
   const auto& mod = modules_->get(module);
-  const std::size_t bytes =
-      v == ModuleVariant::Parallel && mod.parallel_bytes > 0
-          ? mod.parallel_bytes
-          : mod.bytes;
+  bytes = v == ModuleVariant::Parallel && mod.parallel_bytes > 0
+              ? mod.parallel_bytes
+              : mod.bytes;
   CBE_TRACE_EVENT(eng_.now().nanoseconds(), trace::EventKind::CodeLoad,
                   spe_id, module, static_cast<std::int64_t>(bytes),
                   static_cast<std::int64_t>(v));
   s.set_module(module, v, bytes);
-  dma(spe_id, static_cast<double>(bytes),
-      MfcRules::list_entries(bytes, params_), std::move(done));
+  return true;
 }
 
-void CellMachine::spe_compute(int spe_id, double cycles, Fn done) {
-  // A degraded SPE silently computes at a fraction of the nominal clock; a
-  // fail-stop during the burst suppresses the completion (the work is lost
-  // and the runtime's watchdog must recover it).
-  const double factor = spe(spe_id).speed_factor();
-  eng_.schedule_after(
-      sim::cycles_to_time(cycles / factor, params_.clock_ghz),
-      [this, spe_id, cb = std::move(done)] {
-        if (!spe(spe_id).usable()) return;
-        cb();
-      });
+sim::Time CellMachine::compute_time(int spe_id, double cycles) const {
+  return sim::cycles_to_time(cycles / spe(spe_id).speed_factor(),
+                             params_.clock_ghz);
 }
 
-void CellMachine::dma(int spe_id, double bytes, int chunks, Fn done) {
-  // Unchecked transfers (code loads, legacy callers) are not subject to the
-  // transient-failure oracle; only dma_checked consumes oracle draws, so a
-  // caller mix cannot perturb the deterministic failure sequence.
-  start_dma(spe_id, bytes, chunks, /*ok=*/true,
-            [cb = std::move(done)](bool) { cb(); });
-}
-
-void CellMachine::dma_checked(int spe_id, double bytes, int chunks,
-                              DmaFn done) {
+bool CellMachine::draw_transient(int spe_id, double bytes) {
   // The oracle is consulted at issue time so replay is a pure function of
   // the deterministic transfer sequence number.
-  bool ok = true;
-  if (bytes > 0.0 && fault_plan_ != nullptr &&
-      fault_plan_->dma_fails(dma_seq_++)) {
-    ok = false;
-    ++fault_stats_.dma_faults;
-    CBE_TRACE_EVENT(eng_.now().nanoseconds(), trace::EventKind::DmaFault,
-                    spe_id, static_cast<std::int32_t>(dma_seq_ - 1),
-                    std::llround(bytes), 0);
+  if (bytes <= 0.0 || fault_plan_ == nullptr ||
+      !fault_plan_->dma_fails(dma_seq_++)) {
+    return true;
   }
-  start_dma(spe_id, bytes, chunks, ok, std::move(done));
+  ++fault_stats_.dma_faults;
+  CBE_TRACE_EVENT(eng_.now().nanoseconds(), trace::EventKind::DmaFault,
+                  spe_id, static_cast<std::int32_t>(dma_seq_ - 1),
+                  std::llround(bytes), 0);
+  return false;
 }
 
-void CellMachine::dma_verified(int spe_id, double bytes, int chunks,
-                               VerifiedDmaFn done) {
-  bool ok = true;
+bool CellMachine::draw_verified(int spe_id, double bytes, bool& ok) {
+  ok = true;
+  if (bytes <= 0.0 || fault_plan_ == nullptr) return false;
+  // Same transient stream as dma_checked — see the header contract.
+  ok = draw_transient(spe_id, bytes);
   bool corrupt = false;
-  if (bytes > 0.0 && fault_plan_ != nullptr) {
-    // Same transient stream as dma_checked — see the header contract.
-    if (fault_plan_->dma_fails(dma_seq_++)) {
-      ok = false;
-      ++fault_stats_.dma_faults;
-      CBE_TRACE_EVENT(eng_.now().nanoseconds(), trace::EventKind::DmaFault,
-                      spe_id, static_cast<std::int32_t>(dma_seq_ - 1),
-                      std::llround(bytes), 0);
-    }
-    const std::uint64_t vix = verified_seq_++;
-    const auto sid = static_cast<std::size_t>(spe_id);
-    if (sid < forced_flips_.size() && forced_flips_[sid] > 0) {
-      --forced_flips_[sid];
-      corrupt = true;
-    } else if (fault_plan_->dma_corrupts(vix)) {
-      corrupt = true;
-    }
-    // A transport-reported failure is retried anyway; the silent channel
-    // only matters on transfers that claim success.
-    if (corrupt && ok) {
-      ++fault_stats_.dma_corruptions;
-      CBE_TRACE_EVENT(eng_.now().nanoseconds(), trace::EventKind::DmaCorrupt,
-                      spe_id, static_cast<std::int32_t>(vix),
-                      std::llround(bytes), 0);
-    } else {
-      corrupt = false;
-    }
+  const std::uint64_t vix = verified_seq_++;
+  const auto sid = static_cast<std::size_t>(spe_id);
+  if (sid < forced_flips_.size() && forced_flips_[sid] > 0) {
+    --forced_flips_[sid];
+    corrupt = true;
+  } else if (fault_plan_->dma_corrupts(vix)) {
+    corrupt = true;
   }
-  start_dma(spe_id, bytes, chunks, ok,
-            [corrupt, cb = std::move(done)](bool ok2) { cb(ok2, corrupt); });
+  // A transport-reported failure is retried anyway; the silent channel
+  // only matters on transfers that claim success.
+  if (!corrupt || !ok) return false;
+  ++fault_stats_.dma_corruptions;
+  CBE_TRACE_EVENT(eng_.now().nanoseconds(), trace::EventKind::DmaCorrupt,
+                  spe_id, static_cast<std::int32_t>(vix), std::llround(bytes),
+                  0);
+  return true;
 }
 
-void CellMachine::start_dma(int spe_id, double bytes, int chunks, bool ok,
-                            DmaFn done) {
-  if (bytes <= 0.0) {
-    done(true);
-    return;
-  }
+CellMachine::DmaIssue CellMachine::issue_dma(int spe_id, double bytes,
+                                             int chunks) {
   ++active_dma_;
   dma_bytes_ += bytes;
   // Each Cell has its own XDR memory (512 MB per processor on the blade),
-  // so DMA congestion is per-Cell: count busy SPEs of this SPE's Cell.
-  const int cell = spe(spe_id).cell();
-  int busy_in_cell = 0;
-  for (const auto& s : spes_) {
-    if (s.cell() == cell && !s.idle()) ++busy_in_cell;
-  }
-  const int congestion = std::max(busy_in_cell, 1);
-  const sim::Time t = mfc_.transfer_time(bytes, chunks, congestion,
-                                         /*cross_cell=*/false);
+  // so DMA congestion is per-Cell: the busy SPEs of this SPE's Cell.
+  const int congestion = std::max(busy_spes(spe(spe_id).cell()), 1);
+  DmaIssue is;
+  is.t = mfc_.transfer_time(bytes, chunks, congestion, /*cross_cell=*/false);
 #if CBE_TRACE_ENABLED
-  const auto id = static_cast<std::int32_t>(dma_id_++);
+  is.id = static_cast<std::int32_t>(dma_id_++);
   CBE_TRACE_EVENT(eng_.now().nanoseconds(), trace::EventKind::DmaIssue,
-                  spe_id, id, std::llround(bytes), chunks);
+                  spe_id, is.id, std::llround(bytes), chunks);
   if (congestion > 1 && trace::current() != nullptr) {
     // Contention stall: extra transfer time versus the uncontended path.
     const sim::Time solo = mfc_.transfer_time(bytes, chunks, 1,
                                               /*cross_cell=*/false);
-    if (t > solo) {
+    if (is.t > solo) {
       CBE_TRACE_EVENT(eng_.now().nanoseconds(), trace::EventKind::EibStall,
-                      spe_id, id, congestion, (t - solo).nanoseconds());
+                      spe_id, is.id, congestion, (is.t - solo).nanoseconds());
     }
   }
-  eng_.schedule_after(t, [this, spe_id, id, ok, cb = std::move(done)] {
-    --active_dma_;
-    CBE_TRACE_EVENT(eng_.now().nanoseconds(), trace::EventKind::DmaRetire,
-                    spe_id, id, ok ? 1 : 0,
-                    spe(spe_id).usable() ? 1 : 0);
-    if (!spe(spe_id).usable()) return;
-    cb(ok);
-  });
-#else
-  eng_.schedule_after(t, [this, spe_id, ok, cb = std::move(done)] {
-    --active_dma_;
-    if (!spe(spe_id).usable()) return;
-    cb(ok);
-  });
 #endif
+  return is;
+}
+
+bool CellMachine::retire_dma(int spe_id, std::int32_t id, bool ok) {
+  --active_dma_;
+  const bool usable = spe(spe_id).usable();
+  CBE_TRACE_EVENT(eng_.now().nanoseconds(), trace::EventKind::DmaRetire,
+                  spe_id, id, ok ? 1 : 0, usable ? 1 : 0);
+  (void)id;
+  (void)ok;
+  return usable;
 }
 
 sim::Time CellMachine::signal_latency(int spe_id) const noexcept {
@@ -288,14 +250,10 @@ sim::Time CellMachine::pass_latency(int from, int to) const noexcept {
                : params_.pass_latency_local;
 }
 
-void CellMachine::signal(int spe_id, Fn done) {
+void CellMachine::trace_signal(int spe_id) {
   CBE_TRACE_EVENT(eng_.now().nanoseconds(), trace::EventKind::MailboxSignal,
                   spe_id, -1, signal_latency(spe_id).nanoseconds(), 0);
-  eng_.schedule_after(signal_latency(spe_id),
-                      [this, spe_id, cb = std::move(done)] {
-                        if (!spe(spe_id).usable()) return;
-                        cb();
-                      });
+  (void)spe_id;
 }
 
 sim::Time CellMachine::solo_dma_time(double bytes,

@@ -7,9 +7,10 @@
 
 namespace cbe::cell {
 
-Ppe::Ppe(sim::Engine& eng, Config cfg) : eng_(eng), cfg_(cfg) {
-  contexts_.resize(static_cast<std::size_t>(cfg_.contexts));
-}
+Ppe::Ppe(sim::Engine& eng, Config cfg)
+    : eng_(eng),
+      cfg_(cfg),
+      contexts_(static_cast<std::size_t>(cfg.contexts)) {}
 
 int Ppe::add_process(int pinned_context) {
   if (pinned_context >= cfg_.contexts) {
@@ -46,14 +47,14 @@ void Ppe::grant(int ctx, Waiter w) {
     CBE_TRACE_EVENT(eng_.now().nanoseconds(), trace::EventKind::CtxSwitch,
                     ctx, w.pid, prev_holder, cost.nanoseconds());
     p.grant_time = eng_.now() + cost;
-    eng_.schedule_after(cost, [cb = std::move(w.on_granted)] { cb(); });
+    eng_.schedule_after(cost, std::move(w.on_granted));
   } else {
     p.grant_time = eng_.now();
     w.on_granted();
   }
 }
 
-void Ppe::request(int pid, std::function<void()> on_granted) {
+void Ppe::request(int pid, sim::SmallFn on_granted) {
   Proc& p = procs_[static_cast<std::size_t>(pid)];
   if (p.context != -1) {
     throw std::logic_error("Ppe::request: process already holds a context");
@@ -84,21 +85,14 @@ void Ppe::request(int pid, std::function<void()> on_granted) {
   }
 }
 
-void Ppe::compute(int pid, double cycles, std::function<void()> done) {
+void Ppe::compute(int pid, double cycles, sim::SmallFn done) {
   if (!holds_context(pid)) {
     throw std::logic_error("Ppe::compute: process does not hold a context");
   }
   const double factor =
       busy_contexts() >= cfg_.contexts ? cfg_.smt_slowdown : 1.0;
   const sim::Time dt = sim::cycles_to_time(cycles * factor, cfg_.clock_ghz);
-  eng_.schedule_after(dt, [cb = std::move(done)] { cb(); });
-}
-
-void Ppe::spin(int pid, sim::Time t, std::function<void()> done) {
-  if (!holds_context(pid)) {
-    throw std::logic_error("Ppe::spin: process does not hold a context");
-  }
-  eng_.schedule_after(t, [cb = std::move(done)] { cb(); });
+  eng_.schedule_after(dt, std::move(done));
 }
 
 void Ppe::yield(int pid) {

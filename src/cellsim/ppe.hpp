@@ -16,9 +16,9 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <vector>
 
+#include "sim/callback.hpp"
 #include "sim/engine.hpp"
 
 namespace cbe::cell {
@@ -48,15 +48,11 @@ class Ppe {
 
   /// Requests a context.  `on_granted` fires (possibly immediately) once the
   /// process holds one.  A process must not request while holding.
-  void request(int pid, std::function<void()> on_granted);
+  void request(int pid, sim::SmallFn on_granted);
 
   /// Runs `cycles` of PPE work for `pid` (which must hold a context); `done`
   /// fires on completion.
-  void compute(int pid, double cycles, std::function<void()> done);
-
-  /// Occupies the context for wall time `t` without progress (spin-wait on a
-  /// completion mailbox, as the Linux-scheduled MPI processes do).
-  void spin(int pid, sim::Time t, std::function<void()> done);
+  void compute(int pid, double cycles, sim::SmallFn done);
 
   /// Releases the context.  The head waiter (pinned queue of that context
   /// first-come-first-served with the global queue) is granted next.
@@ -81,7 +77,7 @@ class Ppe {
   struct Waiter {
     int pid;
     std::uint64_t seq;
-    std::function<void()> on_granted;
+    sim::SmallFn on_granted;
   };
   struct Context {
     int holder = -1;

@@ -22,10 +22,12 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
+#include <span>
 #include <vector>
 
 #include "cellsim/machine.hpp"
+#include "runtime/record_pool.hpp"
+#include "sim/callback.hpp"
 #include "task/task.hpp"
 
 namespace cbe::trace {
@@ -67,10 +69,12 @@ struct LoopParams {
   int max_dma_retries = 3;          ///< worker-fetch retries before reassign
 };
 
-class LoopExecutor {
+class LoopExecutor final : private cell::FaultObserver {
  public:
-  LoopExecutor(cell::CellMachine& machine, LoopParams params)
-      : machine_(&machine), params_(params) {}
+  LoopExecutor(cell::CellMachine& machine, LoopParams params);
+  ~LoopExecutor();
+  LoopExecutor(const LoopExecutor&) = delete;
+  LoopExecutor& operator=(const LoopExecutor&) = delete;
 
   /// Executes `task`'s loop across `master` plus `workers` (all already
   /// reserved by the caller).  Worker SPEs are released as their chunks
@@ -78,8 +82,9 @@ class LoopExecutor {
   /// the reduction are complete on the master (before result commit).
   /// If the master fail-stops mid-loop, `done` never fires and the caller's
   /// watchdog must recover.
-  void run(int master, std::vector<int> workers, const task::TaskDesc& task,
-           LoopBalancer& balancer, std::function<void()> done);
+  void run(int master, std::span<const int> workers,
+           const task::TaskDesc& task, LoopBalancer& balancer,
+           sim::SmallFn done);
 
   const LoopParams& params() const noexcept { return params_; }
 
@@ -95,9 +100,7 @@ class LoopExecutor {
   /// this hook the driver would never learn that capacity freed up and
   /// queued off-loads could strand.  Only dead-loop paths invoke it; clean
   /// runs are unaffected.
-  void set_release_hook(std::function<void()> hook) {
-    release_hook_ = std::move(hook);
-  }
+  void set_release_hook(sim::SmallFn hook) { release_hook_ = std::move(hook); }
 
   /// Streams each invocation's load imbalance (|master idle - worker wait|
   /// as a percentage of the loop span) into `m`'s "loop_imbalance_pct"
@@ -105,12 +108,35 @@ class LoopExecutor {
   void set_metrics(trace::MetricsRegistry* m);
 
  private:
+  struct Loop;
+  using LoopRef = RecordPool<Loop>::Ref;
+
+  sim::Engine& eng() noexcept { return machine_->engine(); }
+  void start_sends(const LoopRef& l);
+  void launch_worker(const LoopRef& l, std::uint32_t k);
+  void worker_fetch(const LoopRef& l, std::uint32_t k, int attempt);
+  void reassign(Loop& l, int spe);
+  void master_drain(const LoopRef& l);
+  void finish_check(const LoopRef& l);
+  void retire(const Loop& l);
+  /// Fail-stop observer: a lost worker's chunk moves to the master; a lost
+  /// master kills the loop.
+  void on_spe_failure(int spe) override;
+  void dead_release() {
+    if (release_hook_) release_hook_();
+  }
+
   cell::CellMachine* machine_;
   LoopParams params_;
   std::uint64_t reassigned_chunks_ = 0;
   std::uint64_t dma_retries_ = 0;
-  std::function<void()> release_hook_;
+  sim::SmallFn release_hook_;
   trace::Histogram* imbalance_hist_ = nullptr;
+  RecordPool<Loop> pool_;
+  /// Loops that have neither finished nor died, in start order: the
+  /// fail-stop observer visits them in that order.
+  std::vector<LoopRef> live_;
+  bool observing_ = false;  ///< registered on the first run()
 };
 
 }  // namespace cbe::rt

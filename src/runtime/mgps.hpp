@@ -18,7 +18,7 @@
 // holding the wrong variant (the paper's "code replacement" cost).
 #pragma once
 
-#include <set>
+#include <vector>
 
 #include "runtime/policy.hpp"
 #include "trace/trace.hpp"
@@ -60,21 +60,20 @@ class MgpsPolicy final : public SchedulerPolicy {
     min_chunk_cycles_ = c;
   }
 
-  void on_offload(const RuntimeView&, int pid) override {
-    window_pids_.insert(pid);
-  }
+  void on_offload(const RuntimeView&, int pid) override { note(pid); }
 
   void on_departure(const RuntimeView& view, int pid) override {
-    window_pids_.insert(pid);
+    note(pid);
     if (++departures_ % history_window_ != 0) return;
-    evaluate(view, static_cast<int>(window_pids_.size()));
-    window_pids_.clear();
+    evaluate(view, window_count_);
+    window_.assign(window_.size(), 0);
+    window_count_ = 0;
   }
 
   void on_timer(const RuntimeView& view) override {
     // Low off-load rates never fill the window; re-evaluate from whatever
     // history exists, treating the live process count as the TLP degree.
-    const int u = std::max(static_cast<int>(window_pids_.size()),
+    const int u = std::max(window_count_,
                            std::min(view.active_processes, view.total_spes));
     evaluate(view, u);
   }
@@ -82,6 +81,16 @@ class MgpsPolicy final : public SchedulerPolicy {
   int current_degree() const noexcept { return current_degree_; }
 
  private:
+  /// Adds `pid` to the window's set of distinct off-loading processes.
+  void note(int pid) {
+    const auto ix = static_cast<std::size_t>(pid);
+    if (ix >= window_.size()) window_.resize(ix + 1, 0);
+    if (window_[ix] == 0) {
+      window_[ix] = 1;
+      ++window_count_;
+    }
+  }
+
   void evaluate(const RuntimeView& view, int u) {
     const int prev_degree = current_degree_;
     // Fail-stopped SPEs are gone for good: every decision is made against
@@ -119,7 +128,8 @@ class MgpsPolicy final : public SchedulerPolicy {
   std::uint64_t min_chunk_cycles_ = 20000;  // ~6 us at 3.2 GHz
   int current_degree_ = 1;
   std::uint64_t departures_ = 0;
-  std::set<int> window_pids_;
+  std::vector<char> window_;  ///< per pid: off-loaded in this window
+  int window_count_ = 0;      ///< distinct pids in the window (U)
 };
 
 }  // namespace cbe::rt

@@ -10,6 +10,7 @@
 
 #include "cellsim/machine.hpp"
 #include "cellsim/mfc.hpp"
+#include "runtime/record_pool.hpp"
 #include "sim/engine.hpp"
 #include "trace/metrics.hpp"
 #include "trace/trace.hpp"
@@ -32,7 +33,7 @@ std::uint64_t task_result_hash(int bootstrap, std::size_t pc) noexcept {
   return util::splitmix64(s);
 }
 
-class Driver {
+class Driver final : private cell::FaultObserver {
  public:
   Driver(const task::Workload& wl, SchedulerPolicy& policy,
          const RunConfig& cfg)
@@ -51,16 +52,43 @@ class Driver {
   RunResult run();
 
  private:
-  /// Shared bookkeeping for one off-load attempt; completion chains and the
-  /// recovery paths (watchdog, fail-stop observer, DMA-retry exhaustion)
-  /// coordinate through it so the attempt is torn down exactly once.
-  struct Attempt {
+  /// One off-load attempt, faulted or not: the single owner of its chain
+  /// state.  Every engine continuation of the chain captures only
+  /// {this, Ref, Stage}; the completion chain and the recovery paths
+  /// (watchdog, fail-stop observer, DMA-retry exhaustion) coordinate through
+  /// the flags so the attempt is torn down exactly once.  Pooled: a record
+  /// is reused once nothing can fire for it any more.
+  struct Attempt : RecordPool<Attempt>::Node {
+    const task::TaskDesc* task = nullptr;  ///< the workload outlives the run
+    int pid = -1;
+    int master = -1;
+    std::vector<int> workers;   ///< reserved loop participants
+    int degree = 1;
+    std::size_t kind = 0;
+    cell::ModuleVariant variant = cell::ModuleVariant::Sequential;
+    int chunks_in = 0;
+    int chunks_out = 0;
+    std::uint64_t id = 0;       ///< generation: stale completions compare it
+    std::uint64_t span = trace::kNoSpan;
+    int dma_tries = 0;          ///< retries of the task DMA in flight
+    bool output = false;        ///< that DMA is the result transfer
     bool closed = false;        ///< outstanding_tasks_ released / decremented
     bool loop_started = false;  ///< loop_exec_.run was invoked
     bool dma_poison = false;    ///< silent payload corruption went unframed
     bool res_poison = false;    ///< result corruption injected this attempt
-    int master = -1;
-    std::vector<int> workers;   ///< reserved loop participants
+  };
+  using AttemptRef = RecordPool<Attempt>::Ref;
+  /// Where a continuation resumes the chain: mailbox signal in → code load
+  /// → input DMA → compute or loop → integrity check [→ re-execution] →
+  /// output DMA → release → mailbox signal out → completion.
+  enum class Stage : std::uint8_t {
+    LoadCode,
+    FetchInput,
+    Compute,
+    Check,
+    Verified,
+    Release,
+    Complete,
   };
 
   struct Proc {
@@ -75,7 +103,7 @@ class Driver {
     std::uint64_t attempt = 0;  ///< generation: stale completions compare it
     int retries = 0;            ///< recovery re-offloads of the current task
     sim::EventId watchdog;
-    std::shared_ptr<Attempt> att;  ///< current (latest) attempt, if any
+    AttemptRef att;  ///< current (latest) attempt, if any
   };
   // Granularity accounting (Section 5.2): the first few off-loads of each
   // kernel class are profiled against the t_spe + t_code + 2 t_comm < t_ppe
@@ -127,26 +155,34 @@ class Driver {
   void next_bootstrap(int pid);
   void run_segment(int pid);
   void dispatch(int pid);
-  void begin_offload(int pid, const std::vector<int>& idle, bool from_queue);
+  /// Starts an offload on the SPEs in idle_ (filled by the caller).
+  void begin_offload(int pid, bool from_queue);
+  /// The continuation that resumes `a` at `stage`.
+  auto then(const AttemptRef& a, Stage stage) {
+    return [this, a, stage] { advance(a, stage); };
+  }
+  void advance(const AttemptRef& a, Stage stage);
+  void check_result(const AttemptRef& a);
+  void send_output(const AttemptRef& a);
   void on_task_done(int pid, std::uint64_t attempt_id);
   void after_ppe_task(int pid);
   void resume(int pid);
   void serve_wait_queue();
-  void prefer_affine_spe(const Proc& p, std::vector<int>& idle);
+  void prefer_affine_spe(const Proc& p);
   void arm_timer();
 
   // -- Fault handling ------------------------------------------------------
   void setup_faults();
-  void on_spe_failure(int spe);
+  void on_spe_failure(int spe) override;
   void on_watchdog(int pid, std::uint64_t attempt_id);
-  void abandon_attempt(int pid, std::uint64_t attempt_id,
-                       const std::shared_ptr<Attempt>& att);
+  void abandon_attempt(const AttemptRef& att);
   void redispatch(int pid);
   void ppe_recover(int pid);
   void rescue_wait_queue();
-  void task_dma(int pid, std::uint64_t attempt_id,
-                const std::shared_ptr<Attempt>& att, int spe, double bytes,
-                int chunks, int tries, std::function<void()> done);
+  /// The attempt's input or output transfer (a->output), framed and
+  /// retried per the integrity and fault configuration.
+  void task_dma(const AttemptRef& a);
+  void on_task_dma(const AttemptRef& a, bool ok, bool corrupt);
   void mark_recovered(int bootstrap) {
     recovered_.at(static_cast<std::size_t>(bootstrap)) = 1;
   }
@@ -164,6 +200,8 @@ class Driver {
   const task::Workload& wl_;
   SchedulerPolicy& policy_;
   RunConfig cfg_;
+  /// Declared before the engine: pending callbacks hold attempt refs.
+  RecordPool<Attempt> attempts_;
   sim::Engine eng_;
   task::ModuleRegistry modules_;
   cell::CellMachine machine_;
@@ -174,6 +212,7 @@ class Driver {
   std::vector<Proc> procs_;
   std::deque<int> bootstrap_queue_;
   std::deque<int> wait_queue_;
+  std::vector<int> idle_;  ///< idle_spes buffer, reused by every dispatch
   int active_processes_ = 0;
   int outstanding_tasks_ = 0;
   sim::EventId timer_event_;
@@ -319,7 +358,7 @@ void Driver::setup_faults() {
   }
   if (faults_on_) {
     machine_.install_faults(fault_plan_);
-    machine_.add_fault_observer([this](int spe) { on_spe_failure(spe); });
+    machine_.add_fault_observer(this);
     // Abandoned loops release their surviving workers outside any driver
     // callback; without this hook a re-dispatch queued during the teardown
     // would strand even though SPEs are idle.
@@ -396,8 +435,8 @@ void Driver::dispatch(int pid) {
     return;
   }
 
-  std::vector<int> idle = machine_.idle_spes(p.cell);
-  if (idle.empty()) {
+  machine_.idle_spes(p.cell, idle_);
+  if (idle_.empty()) {
     CBE_TRACE_EVENT(eng_.now().nanoseconds(), trace::EventKind::TaskQueued,
                     -1, pid, p.bootstrap, 0);
     wait_queue_.push_back(pid);
@@ -405,12 +444,11 @@ void Driver::dispatch(int pid) {
     // Spin-wait policies keep the context while queued.
     return;
   }
-  prefer_affine_spe(p, idle);
-  begin_offload(pid, idle, /*from_queue=*/false);
+  prefer_affine_spe(p);
+  begin_offload(pid, /*from_queue=*/false);
 }
 
-void Driver::begin_offload(int pid, const std::vector<int>& idle,
-                           bool from_queue) {
+void Driver::begin_offload(int pid, bool from_queue) {
   Proc& p = procs_[static_cast<std::size_t>(pid)];
   // The offload being built is the next attempt generation (faults mode
   // increments p.attempt below); tag its events with that generation so
@@ -442,25 +480,28 @@ void Driver::begin_offload(int pid, const std::vector<int>& idle,
                                        ? 1u
                                        : t.loop.iterations));
 
-  const int master = idle[0];
+  const int master = idle_[0];
   p.last_spe = master;
+  const AttemptRef att = attempts_.acquire();
+  Attempt& a = *att;
   // Loop work-sharing stays within the master's Cell: the Pass protocol
   // relies on local-EIB SPE-to-SPE puts (Section 5.3.1), and splitting a
   // loop across the blade's Cells would stream chunks over the slow
   // inter-Cell path.
-  std::vector<int> workers;
-  for (auto it = idle.begin() + 1;
-       it != idle.end() && static_cast<int>(workers.size()) < d - 1; ++it) {
+  a.workers.clear();
+  for (auto it = idle_.begin() + 1;
+       it != idle_.end() && static_cast<int>(a.workers.size()) < d - 1;
+       ++it) {
     if (machine_.spe(*it).cell() == machine_.spe(master).cell()) {
-      workers.push_back(*it);
+      a.workers.push_back(*it);
     }
   }
-  d = static_cast<int>(workers.size()) + 1;
+  d = static_cast<int>(a.workers.size()) + 1;
   CBE_TRACE_EVENT(eng_.now().nanoseconds(), trace::EventKind::TaskDispatch,
                   master, pid, p.bootstrap, d);
   CBE_TRACE_ONLY(p.dispatch_at = eng_.now());
-  machine_.spe(master).reserve(eng_.now());
-  for (int w : workers) machine_.spe(w).reserve(eng_.now());
+  machine_.reserve(master);
+  for (int w : a.workers) machine_.reserve(w);
   ++outstanding_tasks_;
 
   policy_.on_offload(view(), pid);
@@ -511,16 +552,19 @@ void Driver::begin_offload(int pid, const std::vector<int>& idle,
                 static_cast<std::size_t>(t.dma_out_bytes), cfg_.cell)
           : cell::MfcRules::naive_chunks(
                 static_cast<std::size_t>(t.dma_out_bytes));
-  const task::TaskDesc* tp = &t;  // workload outlives the run
-
-  std::shared_ptr<Attempt> att;
-  std::uint64_t attempt_id = 0;
+  a.task = &t;
+  a.pid = pid;
+  a.master = master;
+  a.degree = d;
+  a.kind = kind;
+  a.variant = variant;
+  a.chunks_in = chunks_in;
+  a.chunks_out = chunks_out;
+  a.span = span_id;
+  a.closed = a.loop_started = a.dma_poison = a.res_poison = false;
+  p.att = att;
   if (faults_on_) {
-    att = std::make_shared<Attempt>();
-    att->master = master;
-    att->workers = workers;
-    p.att = att;
-    attempt_id = ++p.attempt;
+    a.id = ++p.attempt;
     // Deadline: a generous multiple of the intrinsic off-load cost — the
     // same quantities the granularity test reasons about.  A straggling or
     // silently stuck attempt past this point is superseded and re-issued.
@@ -532,108 +576,114 @@ void Driver::begin_offload(int pid, const std::vector<int>& idle,
         cfg_.watchdog_factor *
         (t_spe + t_code + t_dma + 2.0 * machine_.signal_latency(master));
     if (deadline < sim::Time::us(50.0)) deadline = sim::Time::us(50.0);
-    p.watchdog = eng_.schedule_after(deadline, [this, pid, attempt_id] {
-      on_watchdog(pid, attempt_id);
-    });
+    p.watchdog = eng_.schedule_after(
+        deadline, [this, pid, id = a.id] { on_watchdog(pid, id); });
+  } else {
+    a.id = p.attempt;
   }
-
-  auto after_compute = [this, pid, master, tp, chunks_out, att, attempt_id] {
-    task_dma(pid, attempt_id, att, master, tp->dma_out_bytes, chunks_out, 0,
-             [this, pid, master, att, attempt_id] {
-      machine_.spe(master).release(eng_.now());
-      --outstanding_tasks_;
-      if (att) att->closed = true;
-      machine_.signal(master, [this, pid, attempt_id] {
-        on_task_done(pid, attempt_id);
-      });
-    });
-  };
-
-  // Integrity stage between compute and the output transfer: the seeded
-  // oracle may flip the declared result, and the sampled redundant-execution
-  // check re-runs the task and compares — the only detector that can see a
-  // wrong-but-well-framed result (DESIGN.md §11).
-  auto post_compute = [this, pid, master, tp, att, attempt_id, span_id,
-                       after_compute] {
-    trace::ScopedSpan span(span_id);
-    if (!faults_on_ && !cfg_.integrity.enabled()) {
-      after_compute();
-      return;
-    }
-    const std::uint64_t tix = task_seq_++;
-    if (faults_on_ && fault_plan_.result_corrupts(tix)) {
-      ++res_.corrupt_injected;
-      CBE_TRACE_EVENT(eng_.now().nanoseconds(),
-                      trace::EventKind::ResultCorrupt, master, pid, 1,
-                      static_cast<std::int64_t>(tix));
-      if (att) att->res_poison = true;
-    }
-    if (!sim::verify_sampled(cfg_.fault.seed, tix,
-                             cfg_.integrity.verify_fraction)) {
-      after_compute();
-      return;
-    }
-    ++res_.verify_reexecs;
-    machine_.spe_compute(
-        master, tp->spe_cycles_total(),
-        [this, pid, master, att, attempt_id, span_id, after_compute] {
-          trace::ScopedSpan span(span_id);
-          if (att && att->res_poison && !att->closed) {
-            ++res_.corrupt_detected;
-            CBE_TRACE_EVENT(eng_.now().nanoseconds(),
-                            trace::EventKind::ResultCorrupt, master, pid, 2,
-                            0);
-            note_strike(master);
-            // Quarantine (inside note_strike) may already have torn the
-            // attempt down and re-issued the task via the observer path.
-            abandon_attempt(pid, attempt_id, att);
-            return;
-          }
-          after_compute();
-        });
-  };
-
-  machine_.signal(master, [this, master, tp, variant, chunks_in, d, pid,
-                           workers = std::move(workers), post_compute,
-                           kind, att, attempt_id]() mutable {
-    machine_.ensure_module(master, tp->module_id, variant,
-                           [this, master, tp, chunks_in, d, pid,
-                            workers = std::move(workers), post_compute,
-                            kind, att, attempt_id]() mutable {
-      task_dma(pid, attempt_id, att, master, tp->dma_in_bytes, chunks_in, 0,
-               [this, master, tp, d, workers = std::move(workers),
-                post_compute, kind, att]() mutable {
-        if (d == 1) {
-          machine_.spe_compute(master, tp->spe_cycles_total(),
-                               post_compute);
-        } else {
-          if (att) att->loop_started = true;
-          loop_exec_.run(master, std::move(workers), *tp, balancers_[kind],
-                         post_compute);
-        }
-      });
-    });
-  });
+  machine_.signal(master, then(att, Stage::LoadCode));
 
   if (!from_queue && policy_.yield_on_offload()) ppe(p).yield(p.ppe_pid);
   // Spin-wait policies keep the context until on_task_done resumes them.
 }
 
+void Driver::advance(const AttemptRef& a, Stage stage) {
+  switch (stage) {
+    case Stage::LoadCode:
+      machine_.ensure_module(a->master, a->task->module_id, a->variant,
+                             then(a, Stage::FetchInput));
+      return;
+    case Stage::FetchInput:
+      a->output = false;
+      a->dma_tries = 0;
+      task_dma(a);
+      return;
+    case Stage::Compute:
+      if (a->degree == 1) {
+        machine_.spe_compute(a->master, a->task->spe_cycles_total(),
+                             then(a, Stage::Check));
+      } else {
+        a->loop_started = true;
+        loop_exec_.run(a->master, a->workers, *a->task, balancers_[a->kind],
+                       then(a, Stage::Check));
+      }
+      return;
+    case Stage::Check:
+      check_result(a);
+      return;
+    case Stage::Verified: {
+      trace::ScopedSpan span(a->span);
+      if (a->res_poison && !a->closed) {
+        ++res_.corrupt_detected;
+        CBE_TRACE_EVENT(eng_.now().nanoseconds(),
+                        trace::EventKind::ResultCorrupt, a->master, a->pid, 2,
+                        0);
+        note_strike(a->master);
+        // Quarantine (inside note_strike) may already have torn the
+        // attempt down and re-issued the task via the observer path.
+        abandon_attempt(a);
+        return;
+      }
+      send_output(a);
+      return;
+    }
+    case Stage::Release:
+      machine_.release(a->master);
+      --outstanding_tasks_;
+      a->closed = true;
+      machine_.signal(a->master, then(a, Stage::Complete));
+      return;
+    case Stage::Complete:
+      on_task_done(a->pid, a->id);
+      return;
+  }
+}
+
+// Integrity stage between compute and the output transfer: the seeded
+// oracle may flip the declared result, and the sampled redundant-execution
+// check re-runs the task and compares — the only detector that can see a
+// wrong-but-well-framed result (DESIGN.md §11).
+void Driver::check_result(const AttemptRef& a) {
+  trace::ScopedSpan span(a->span);
+  if (!faults_on_ && !cfg_.integrity.enabled()) {
+    send_output(a);
+    return;
+  }
+  const std::uint64_t tix = task_seq_++;
+  if (faults_on_ && fault_plan_.result_corrupts(tix)) {
+    ++res_.corrupt_injected;
+    CBE_TRACE_EVENT(eng_.now().nanoseconds(), trace::EventKind::ResultCorrupt,
+                    a->master, a->pid, 1, static_cast<std::int64_t>(tix));
+    a->res_poison = true;
+  }
+  if (!sim::verify_sampled(cfg_.fault.seed, tix,
+                           cfg_.integrity.verify_fraction)) {
+    send_output(a);
+    return;
+  }
+  ++res_.verify_reexecs;
+  machine_.spe_compute(a->master, a->task->spe_cycles_total(),
+                       then(a, Stage::Verified));
+}
+
+void Driver::send_output(const AttemptRef& a) {
+  a->output = true;
+  a->dma_tries = 0;
+  task_dma(a);
+}
+
 void Driver::on_task_done(int pid, std::uint64_t attempt_id) {
   Proc& p = procs_[static_cast<std::size_t>(pid)];
   trace::ScopedSpan span(task_span(p, pid, attempt_id));
-  bool poisoned = false;
-  if (faults_on_) {
-    if (attempt_id != p.attempt) {
-      // Superseded attempt finishing late (straggler): the chain already
-      // freed its SPE; let waiting dispatches have it and drop the result.
-      serve_wait_queue();
-      return;
-    }
-    eng_.cancel(p.watchdog);
-    poisoned = p.att && (p.att->dma_poison || p.att->res_poison);
-    p.att.reset();
+  if (attempt_id != p.attempt) {
+    // Superseded attempt finishing late (straggler): the chain already
+    // freed its SPE; let waiting dispatches have it and drop the result.
+    serve_wait_queue();
+    return;
   }
+  eng_.cancel(p.watchdog);
+  const bool poisoned = p.att && (p.att->dma_poison || p.att->res_poison);
+  p.att = {};
   commit_result(pid, poisoned);
   CBE_TRACE_EVENT(eng_.now().nanoseconds(), trace::EventKind::TaskComplete,
                   p.last_spe, pid, p.bootstrap, 0);
@@ -687,79 +737,84 @@ void Driver::serve_wait_queue() {
   while (!wait_queue_.empty()) {
     const int pid = wait_queue_.front();
     Proc& p = procs_[static_cast<std::size_t>(pid)];
-    std::vector<int> idle = machine_.idle_spes(p.cell);
-    if (idle.empty()) break;
+    machine_.idle_spes(p.cell, idle_);
+    if (idle_.empty()) break;
     wait_queue_.pop_front();
-    prefer_affine_spe(p, idle);
-    begin_offload(pid, idle, /*from_queue=*/true);
+    prefer_affine_spe(p);
+    begin_offload(pid, /*from_queue=*/true);
   }
 }
 
-void Driver::prefer_affine_spe(const Proc& p, std::vector<int>& idle) {
+void Driver::prefer_affine_spe(const Proc& p) {
   // Re-dispatching to the SPE a process used last keeps the code image
   // resident and avoids stealing a sibling's SPE (the paper's runtime
   // pre-loads annotated functions and leaves them on the SPEs).
   if (p.last_spe < 0) return;
-  auto it = std::find(idle.begin(), idle.end(), p.last_spe);
-  if (it != idle.end() && it != idle.begin()) std::iter_swap(idle.begin(), it);
+  auto it = std::find(idle_.begin(), idle_.end(), p.last_spe);
+  if (it != idle_.end() && it != idle_.begin()) {
+    std::iter_swap(idle_.begin(), it);
+  }
 }
 
-void Driver::task_dma(int pid, std::uint64_t attempt_id,
-                      const std::shared_ptr<Attempt>& att, int spe,
-                      double bytes, int chunks, int tries,
-                      std::function<void()> done) {
+void Driver::task_dma(const AttemptRef& a) {
   // dma_verified shares dma_checked's transient stream, so fault replay is
   // unchanged; it additionally reports the silent-corruption channel.
-  machine_.dma_verified(spe, bytes, chunks,
-                        [this, pid, attempt_id, att, spe, bytes, chunks,
-                         tries, done = std::move(done)](bool ok,
-                                                        bool corrupt) mutable {
-    if (ok && corrupt) {
-      if (cfg_.integrity.crc_framing) {
-        // The consumer's end-to-end CRC check rejects the poisoned payload;
-        // the transfer is retried like a transport failure, but attributed
-        // to the Corruption cause (counters + quarantine strikes).
-        ++res_.corrupt_detected;
-        note_strike(spe);
-        if (att && att->closed) {
-          // Quarantine tore the attempt down and re-issued the task.
-          serve_wait_queue();
-          return;
-        }
-        if (tries < cfg_.loop.max_dma_retries) {
-          ++res_.integrity_retries;
-          task_dma(pid, attempt_id, att, spe, bytes, chunks, tries + 1,
-                   std::move(done));
-          return;
-        }
-        abandon_attempt(pid, attempt_id, att);
+  const task::TaskDesc& t = *a->task;
+  machine_.dma_verified(
+      a->master, a->output ? t.dma_out_bytes : t.dma_in_bytes,
+      a->output ? a->chunks_out : a->chunks_in,
+      [this, a](bool ok, bool corrupt) { on_task_dma(a, ok, corrupt); });
+}
+
+void Driver::on_task_dma(const AttemptRef& a, bool ok, bool corrupt) {
+  const double bytes = a->output ? a->task->dma_out_bytes
+                                 : a->task->dma_in_bytes;
+  const Stage next = a->output ? Stage::Release : Stage::Compute;
+  if (ok && corrupt) {
+    if (cfg_.integrity.crc_framing) {
+      // The consumer's end-to-end CRC check rejects the poisoned payload;
+      // the transfer is retried like a transport failure, but attributed
+      // to the Corruption cause (counters + quarantine strikes).
+      ++res_.corrupt_detected;
+      note_strike(a->master);
+      if (a->closed) {
+        // Quarantine tore the attempt down and re-issued the task.
+        serve_wait_queue();
         return;
       }
-      // Without framing the bit-flip sails through and poisons whatever
-      // this attempt commits.
-      if (att) att->dma_poison = true;
-    }
-    if (ok) {
-      if (cfg_.integrity.crc_framing && bytes > 0.0) {
-        // Modeled cost of computing/verifying the frame CRC at the consumer.
-        eng_.schedule_after(
-            sim::cycles_to_time(bytes * cfg_.integrity.crc_cycles_per_byte,
-                                clock()),
-            std::move(done));
+      if (a->dma_tries < cfg_.loop.max_dma_retries) {
+        ++res_.integrity_retries;
+        ++a->dma_tries;
+        task_dma(a);
         return;
       }
-      done();
+      abandon_attempt(a);
       return;
     }
-    if (tries < cfg_.loop.max_dma_retries) {
-      ++res_.dma_retries;
-      task_dma(pid, attempt_id, att, spe, bytes, chunks, tries + 1,
-               std::move(done));
+    // Without framing the bit-flip sails through and poisons whatever
+    // this attempt commits.
+    a->dma_poison = true;
+  }
+  if (ok) {
+    if (cfg_.integrity.crc_framing && bytes > 0.0) {
+      // Modeled cost of computing/verifying the frame CRC at the consumer.
+      eng_.schedule_after(
+          sim::cycles_to_time(bytes * cfg_.integrity.crc_cycles_per_byte,
+                              clock()),
+          then(a, next));
       return;
     }
-    // Transfer permanently lost: tear the attempt down and recover.
-    abandon_attempt(pid, attempt_id, att);
-  });
+    advance(a, next);
+    return;
+  }
+  if (a->dma_tries < cfg_.loop.max_dma_retries) {
+    ++res_.dma_retries;
+    ++a->dma_tries;
+    task_dma(a);
+    return;
+  }
+  // Transfer permanently lost: tear the attempt down and recover.
+  abandon_attempt(a);
 }
 
 void Driver::note_strike(int spe) {
@@ -787,26 +842,25 @@ void Driver::commit_result(int pid, bool poisoned) {
   dg = util::crc32(&h, sizeof h, dg);
 }
 
-void Driver::abandon_attempt(int pid, std::uint64_t attempt_id,
-                             const std::shared_ptr<Attempt>& att) {
-  Proc& p = procs_[static_cast<std::size_t>(pid)];
-  if (!att || att->closed) return;
+void Driver::abandon_attempt(const AttemptRef& att) {
+  Proc& p = procs_[static_cast<std::size_t>(att->pid)];
+  if (att->closed) return;
   att->closed = true;
   --outstanding_tasks_;
   if (machine_.spe(att->master).usable() &&
       !machine_.spe(att->master).idle()) {
-    machine_.spe(att->master).release(eng_.now());
+    machine_.release(att->master);
   }
   if (!att->loop_started) {
     // Reserved loop participants whose chains never started; started
     // workers free themselves (or the loop's fault hook does).
     for (int w : att->workers) {
       if (machine_.spe(w).usable() && !machine_.spe(w).idle()) {
-        machine_.spe(w).release(eng_.now());
+        machine_.release(w);
       }
     }
   }
-  if (attempt_id != p.attempt || p.finished) {
+  if (att->id != p.attempt || p.finished) {
     // A superseded attempt cleaning up after itself; the live attempt (or
     // the PPE fallback) already owns the task.
     serve_wait_queue();
@@ -817,7 +871,7 @@ void Driver::abandon_attempt(int pid, std::uint64_t attempt_id,
   mark_recovered(p.bootstrap);
   ++p.attempt;
   ++p.retries;
-  redispatch(pid);
+  redispatch(att->pid);
   serve_wait_queue();
 }
 
@@ -831,7 +885,7 @@ void Driver::on_watchdog(int pid, std::uint64_t attempt_id) {
                   static_cast<std::int64_t>(attempt_id), 0);
   res_.wasted_cycles += segment(p).task.spe_cycles_total();
   mark_recovered(p.bootstrap);
-  std::shared_ptr<Attempt> att = p.att;
+  const AttemptRef att = p.att;
   if (!machine_.spe(att->master).usable() && !att->closed) {
     // Master fail-stop the observer did not tear down; do it here.
     att->closed = true;
@@ -839,7 +893,7 @@ void Driver::on_watchdog(int pid, std::uint64_t attempt_id) {
     if (!att->loop_started) {
       for (int w : att->workers) {
         if (machine_.spe(w).usable() && !machine_.spe(w).idle()) {
-          machine_.spe(w).release(eng_.now());
+          machine_.release(w);
         }
       }
     }
@@ -858,13 +912,13 @@ void Driver::on_spe_failure(int spe) {
     if (p.finished || !p.att || p.att->closed || p.att->master != spe) {
       continue;
     }
-    std::shared_ptr<Attempt> att = p.att;
+    const AttemptRef att = p.att;
     att->closed = true;
     --outstanding_tasks_;
     if (!att->loop_started) {
       for (int w : att->workers) {
         if (machine_.spe(w).usable() && !machine_.spe(w).idle()) {
-          machine_.spe(w).release(eng_.now());
+          machine_.release(w);
         }
       }
     }
@@ -889,15 +943,15 @@ void Driver::redispatch(int pid) {
     ppe_recover(pid);
     return;
   }
-  std::vector<int> idle = machine_.idle_spes(p.cell);
-  if (idle.empty()) {
+  machine_.idle_spes(p.cell, idle_);
+  if (idle_.empty()) {
     CBE_TRACE_EVENT(eng_.now().nanoseconds(), trace::EventKind::TaskQueued,
                     -1, pid, p.bootstrap, 1);
     wait_queue_.push_back(pid);
     return;
   }
-  prefer_affine_spe(p, idle);
-  begin_offload(pid, idle, /*from_queue=*/true);
+  prefer_affine_spe(p);
+  begin_offload(pid, /*from_queue=*/true);
 }
 
 void Driver::ppe_recover(int pid) {
@@ -910,7 +964,7 @@ void Driver::ppe_recover(int pid) {
                   -1, pid, static_cast<std::int64_t>(segment(p).task.kind),
                   1);
   mark_recovered(p.bootstrap);
-  p.att.reset();
+  p.att = {};
   if (ppe(p).holds_context(p.ppe_pid)) {
     ppe(p).compute(p.ppe_pid, segment(p).task.ppe_cycles,
                    [this, pid] { after_ppe_task(pid); });

@@ -2,7 +2,8 @@
 #   1. a bench run with --json emits a cbe-bench-v1 report;
 #   2. bench_diff over two identical-seed runs exits 0 (determinism means
 #      the medians match exactly, well under any threshold);
-#   3. bench_diff --scale=2 (an injected 2x slowdown) exits 1;
+#   3. bench_diff --scale=2 (an injected 2x slowdown) exits 1, and
+#      --exact rejects a 0.1% drift in either direction;
 #   4. a run with a different config is rejected via the config hash.
 # Invoked by ctest as:
 #   cmake -DBENCH=<bench_table2> -DBENCH_DIFF=<bench_diff> -DWORKDIR=<dir>
@@ -54,6 +55,12 @@ run_diff(0 base.json rerun.json)
 
 # 3. Injected 2x slowdown must be flagged as a regression.
 run_diff(1 --scale=2 base.json rerun.json)
+
+# 3b. --exact fails on any drift, in either direction: an "improvement" of
+# a simulated-time series is a behaviour change too.
+run_diff(0 base.json rerun.json --exact)
+run_diff(1 --scale=1.001 base.json rerun.json --exact)
+run_diff(1 --scale=0.999 base.json rerun.json --exact)
 
 # 4. A different config (the task-time CV) must be rejected by the config
 # hash...

@@ -123,18 +123,6 @@ TEST(Ppe, SmtSlowdownWhenBothContextsBusy) {
   EXPECT_EQ(done_at, sim::Time::ns(2000));  // slowdown 2.0
 }
 
-TEST(Ppe, SpinOccupiesForWallTime) {
-  sim::Engine eng;
-  Ppe ppe(eng, cfg());
-  const int p = ppe.add_process();
-  ppe.request(p, [] {});
-  sim::Time done_at;
-  ppe.spin(p, sim::Time::us(7.0), [&] { done_at = eng.now(); });
-  eng.run();
-  EXPECT_EQ(done_at, sim::Time::us(7.0));
-  EXPECT_TRUE(ppe.holds_context(p));
-}
-
 TEST(Ppe, QuantumExpiryNeedsWaiter) {
   sim::Engine eng;
   Ppe ppe(eng, cfg());

@@ -28,9 +28,9 @@ struct LoopTest : ::testing::Test {
     std::vector<int> workers;
     for (int w = 1; w < degree; ++w) {
       workers.push_back(w);
-      machine.spe(w).reserve(eng.now());
+      machine.reserve(w);
     }
-    machine.spe(0).reserve(eng.now());
+    machine.reserve(0);
     sim::Time end;
     if (degree == 1) {
       machine.spe_compute(0, t.spe_cycles_total(), [&] { end = eng.now(); });
@@ -38,7 +38,7 @@ struct LoopTest : ::testing::Test {
       exec.run(0, workers, t, balancer, [&] { end = eng.now(); });
     }
     eng.run();
-    machine.spe(0).release(eng.now());
+    machine.release(0);
     return end - start;
   }
 
@@ -70,8 +70,8 @@ TEST_F(LoopTest, TinyLoopsDoNotBenefit) {
 TEST_F(LoopTest, WorkersAreReleasedAfterTheLoop) {
   const auto t = make_task(512, 1000.0);
   std::vector<int> workers = {1, 2, 3};
-  for (int w : workers) machine.spe(w).reserve(eng.now());
-  machine.spe(0).reserve(eng.now());
+  for (int w : workers) machine.reserve(w);
+  machine.reserve(0);
   bool done = false;
   exec.run(0, workers, t, balancer, [&] { done = true; });
   eng.run();

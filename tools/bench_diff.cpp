@@ -3,7 +3,7 @@
 // noise threshold.
 //
 //   bench_diff [--threshold=X] [--scale=X] [--only=PREFIX] [--ignore-config]
-//              BASELINE CURRENT
+//              BASELINE CURRENT [--exact]
 //
 //   --threshold=X      allowed relative slowdown before a series counts as a
 //                      regression (default 0.10 = 10%)
@@ -18,9 +18,16 @@
 //                      prefix matching nothing in the baseline is an error,
 //                      not a silent pass.
 //   --ignore-config    compare even when the config_hash fields differ
+//   --exact            fail on any difference in either direction: a median
+//                      that moved at all (an improvement too) or a series
+//                      only one side has.  For reports whose series are
+//                      simulated time, which a host-only change must leave
+//                      bit-identical; the threshold is then ignored.
+//                      Give it after the two files (or as --exact=1): a
+//                      bare flag takes the next argument as its value.
 //
-// Exit codes: 0 = within threshold, 1 = regression (or incomparable
-// inputs), 2 = usage / unreadable / malformed input.  Improvements and new
+// Exit codes: 0 = within threshold, 1 = regression, any --exact difference
+// (or incomparable inputs), 2 = usage / unreadable / malformed input.  Improvements and new
 // series are reported but never fail the gate; a series that disappeared
 // from the current run does fail it (a silently dropped measurement looks
 // exactly like a silently dropped regression).
@@ -109,9 +116,10 @@ int main(int argc, char** argv) {
   const double scale = cli.get_double("scale", 1.0);
   const std::string only = cli.get("only", "");
   const bool ignore_config = cli.get_bool("ignore-config", false);
+  const bool exact = cli.get_bool("exact", false);
   const std::string usage =
       "bench_diff [--threshold=X] [--scale=X] [--only=PREFIX] "
-      "[--ignore-config] BASELINE.json CURRENT.json";
+      "[--ignore-config] BASELINE.json CURRENT.json [--exact]";
   cli.enforce_usage_or_exit(usage);
   if (cli.positional().size() != 2) {
     std::fprintf(stderr, "usage: %s\n", usage.c_str());
@@ -161,7 +169,8 @@ int main(int argc, char** argv) {
     if (!ignore_config) return 1;
   }
 
-  int regressions = 0, improvements = 0, missing = 0, fresh = 0, ok = 0;
+  int regressions = 0, improvements = 0, missing = 0, fresh = 0, ok = 0,
+      differ = 0;
   for (const Series& b : base.series) {
     const Series* c = find_series(cur, b.name);
     if (c == nullptr) {
@@ -174,7 +183,15 @@ int main(int argc, char** argv) {
     const double base_ns = static_cast<double>(b.median_ns);
     const double rel =
         base_ns > 0.0 ? (cur_ns - base_ns) / base_ns : 0.0;
-    if (rel > threshold) {
+    if (exact) {
+      if (cur_ns != base_ns) {
+        std::printf("DIFFER   %-28s %.0f ns vs %.0f ns  (--exact)\n",
+                    b.name.c_str(), cur_ns, base_ns);
+        ++differ;
+      } else {
+        ++ok;
+      }
+    } else if (rel > threshold) {
       std::printf("REGRESS  %-28s %.0f ns vs %.0f ns  (%+.1f%% > %.1f%%)\n",
                   b.name.c_str(), cur_ns, base_ns, 100.0 * rel,
                   100.0 * threshold);
@@ -195,6 +212,12 @@ int main(int argc, char** argv) {
     }
   }
 
+  if (exact) {
+    std::printf("bench_diff: %s — %d identical, %d differ, %d missing, "
+                "%d new (--exact)\n",
+                base.bench.c_str(), ok, differ, missing, fresh);
+    return differ > 0 || missing > 0 || fresh > 0 ? 1 : 0;
+  }
   std::printf("bench_diff: %s — %d ok, %d regressed, %d improved, "
               "%d missing, %d new (threshold %.1f%%)\n",
               base.bench.c_str(), ok, regressions, improvements, missing,
