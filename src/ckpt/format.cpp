@@ -1,6 +1,7 @@
 #include "ckpt/format.hpp"
 
 #include <atomic>
+#include <bit>
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
@@ -23,6 +24,9 @@ namespace {
 constexpr std::uint64_t kMagic = 0x3154504b43454243ull;
 constexpr std::size_t kHeaderSize = 8 + 4 + 8 + 8 + 4 + 4;
 constexpr std::size_t kTagSize = 4;
+// An image buffer starts with room for a small image (a job snapshot is 157
+// bytes), so a job's first snapshot allocates once instead of regrowing.
+constexpr std::size_t kInitialCapacity = 256;
 
 void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
   for (int i = 0; i < 4; ++i) {
@@ -64,16 +68,13 @@ const char* error_kind_name(ErrorKind k) noexcept {
   return "unknown";
 }
 
-std::uint64_t build_config_hash() noexcept {
-  // FNV-1a over the facts that decide whether this build can interpret a
-  // checkpoint payload byte-for-byte.
-  const std::uint32_t one = 1;
-  const bool little_endian =
-      *reinterpret_cast<const unsigned char*>(&one) == 1;
+// FNV-1a over the facts that decide whether this build can interpret a
+// checkpoint payload byte-for-byte.
+constexpr std::uint64_t config_hash() {
   const std::uint64_t facts[] = {
       kFormatVersion,
       sizeof(double),
-      little_endian ? 1u : 0u,
+      std::endian::native == std::endian::little ? 1u : 0u,
   };
   std::uint64_t h = 0xcbf29ce484222325ull;
   for (std::uint64_t f : facts) {
@@ -83,6 +84,50 @@ std::uint64_t build_config_hash() noexcept {
     }
   }
   return h;
+}
+
+std::uint64_t build_config_hash() noexcept { return config_hash(); }
+
+ImageWriter::ImageWriter(std::vector<std::uint8_t>& out, std::uint64_t seed,
+                         std::uint32_t sections)
+    : out_(out) {
+  out_.clear();
+  out_.reserve(kInitialCapacity);
+  put_u64(out_, kMagic);
+  put_u32(out_, kFormatVersion);
+  put_u64(out_, config_hash());
+  put_u64(out_, seed);
+  put_u32(out_, sections);
+  put_u32(out_, util::crc32(out_.data(), out_.size()));
+}
+
+void ImageWriter::begin(std::string_view tag) {
+  if (tag.size() != kTagSize) {
+    throw CkptError(ErrorKind::Malformed,
+                    "section tag must be 4 characters: '" + std::string(tag) +
+                        "'");
+  }
+  frame_ = out_.size();
+  out_.insert(out_.end(), tag.begin(), tag.end());
+  put_u64(out_, 0);
+}
+
+void ImageWriter::u32(std::uint32_t v) { put_u32(out_, v); }
+void ImageWriter::u64(std::uint64_t v) { put_u64(out_, v); }
+
+void ImageWriter::f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
+
+void ImageWriter::bytes(const std::uint8_t* p, std::size_t n) {
+  out_.insert(out_.end(), p, p + n);
+}
+
+void ImageWriter::end() {
+  const std::uint64_t len = out_.size() - frame_ - kTagSize - 8;
+  for (int i = 0; i < 8; ++i) {
+    out_[frame_ + kTagSize + static_cast<std::size_t>(i)] =
+        static_cast<std::uint8_t>(len >> (8 * i));
+  }
+  put_u32(out_, util::crc32(out_.data() + frame_, out_.size() - frame_));
 }
 
 void PayloadWriter::u8(std::uint8_t v) { bytes_.push_back(v); }
@@ -183,18 +228,11 @@ const Section& CheckpointImage::require(const std::string& tag) const {
 
 std::vector<std::uint8_t> CheckpointImage::serialize() const {
   std::vector<std::uint8_t> out;
-  put_u64(out, kMagic);
-  put_u32(out, kFormatVersion);
-  put_u64(out, build_config_hash());
-  put_u64(out, seed);
-  put_u32(out, static_cast<std::uint32_t>(sections_.size()));
-  put_u32(out, util::crc32(out.data(), out.size()));
+  ImageWriter w(out, seed, static_cast<std::uint32_t>(sections_.size()));
   for (const Section& s : sections_) {
-    const std::size_t start = out.size();
-    out.insert(out.end(), s.tag.begin(), s.tag.end());
-    put_u64(out, s.payload.size());
-    out.insert(out.end(), s.payload.begin(), s.payload.end());
-    put_u32(out, util::crc32(out.data() + start, out.size() - start));
+    w.begin(s.tag);
+    w.bytes(s.payload.data(), s.payload.size());
+    w.end();
   }
   return out;
 }

@@ -22,6 +22,7 @@
 #include <cstdint>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace cbe::ckpt {
@@ -65,6 +66,35 @@ class CkptError : public std::runtime_error {
 /// order).  A mismatch means the file was written by an incompatible build
 /// and must be rejected rather than misread.
 std::uint64_t build_config_hash() noexcept;
+
+/// Streaming encoder for a whole image: the header and its CRC, then one
+/// frame per begin()/end() pair, written straight into the caller's buffer.
+/// The buffer is cleared but keeps its capacity, so a caller that reuses one
+/// buffer (a job record's snapshot) makes no heap request once it has grown
+/// to size.  This is the only framing implementation;
+/// CheckpointImage::serialize() runs its sections through it.
+class ImageWriter {
+ public:
+  /// Writes the header; the caller then writes exactly `sections` frames.
+  ImageWriter(std::vector<std::uint8_t>& out, std::uint64_t seed,
+              std::uint32_t sections);
+
+  /// Opens a frame: tag (exactly 4 characters) and a length placeholder.
+  void begin(std::string_view tag);
+  void u8(std::uint8_t v) { out_.push_back(v); }
+  void u32(std::uint32_t v);
+  void u64(std::uint64_t v);
+  void i32(std::int32_t v) { u32(static_cast<std::uint32_t>(v)); }
+  /// IEEE-754 bit pattern; restore is bit-exact.
+  void f64(double v);
+  void bytes(const std::uint8_t* p, std::size_t n);
+  /// Closes the frame: patches its length and appends its CRC.
+  void end();
+
+ private:
+  std::vector<std::uint8_t>& out_;
+  std::size_t frame_ = 0;  ///< offset of the open frame's tag
+};
 
 /// Append-only little-endian encoder for one section payload.
 class PayloadWriter {

@@ -76,8 +76,7 @@ RunReport run_job(RunState& st, const RunnerOptions& opt) {
   const phylo::SearchResult reference =
       phylo::search(engine, ref_rng, job.search);
 
-  util::Rng master(0);
-  master.set_state(st.master);
+  util::Rng master = util::Rng::from_state(st.master);
 
   const int total = job.bootstraps;
   const int every = opt.checkpoint_every > 0 ? opt.checkpoint_every : 1;

@@ -34,8 +34,7 @@ JobState make_initial_state(const JobSpec& spec, std::uint64_t service_seed) {
 }
 
 void run_step(JobState& st) {
-  util::Rng rng(0);
-  rng.set_state(st.rng);
+  util::Rng rng = util::Rng::from_state(st.rng);
   // A phylo-flavoured work unit: a lognormal per-site weight accumulates
   // into the sum, and a raw draw chains through the digest.  Both fold the
   // *previous* accumulator in, so step order is load-bearing.
@@ -57,30 +56,24 @@ JobResult run_job_standalone(const JobSpec& spec,
   return result_of(st);
 }
 
-std::vector<std::uint8_t> snapshot_job(const JobSpec& spec,
-                                       const JobState& st) {
-  ckpt::CheckpointImage image;
-  image.seed = spec.id;
-  {
-    ckpt::PayloadWriter w;
-    w.u64(spec.id);
-    w.u32(spec.tenant);
-    w.i32(spec.priority);
-    w.i32(spec.steps);
-    w.f64(spec.step_cost_s);
-    image.add(kSpecTag, w.take());
-  }
-  {
-    ckpt::PayloadWriter w;
-    for (std::uint64_t word : st.rng.s) w.u64(word);
-    w.u64(st.rng.cached_normal_bits);
-    w.u8(st.rng.has_cached_normal ? 1 : 0);
-    w.u64(st.digest);
-    w.f64(st.value);
-    w.i32(st.steps_done);
-    image.add(kStateTag, w.take());
-  }
-  return image.serialize();
+void snapshot_job(const JobSpec& spec, const JobState& st,
+                  std::vector<std::uint8_t>& out) {
+  ckpt::ImageWriter w(out, spec.id, 2);
+  w.begin(kSpecTag);
+  w.u64(spec.id);
+  w.u32(spec.tenant);
+  w.i32(spec.priority);
+  w.i32(spec.steps);
+  w.f64(spec.step_cost_s);
+  w.end();
+  w.begin(kStateTag);
+  for (std::uint64_t word : st.rng.s) w.u64(word);
+  w.u64(st.rng.cached_normal_bits);
+  w.u8(st.rng.has_cached_normal ? 1 : 0);
+  w.u64(st.digest);
+  w.f64(st.value);
+  w.i32(st.steps_done);
+  w.end();
 }
 
 JobState restore_job(const JobSpec& spec,

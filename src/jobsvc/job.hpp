@@ -75,9 +75,11 @@ JobResult result_of(const JobState& st) noexcept;
 /// Bit-identical to the service's result for the same (service seed, spec).
 JobResult run_job_standalone(const JobSpec& spec, std::uint64_t service_seed);
 
-/// Serializes (spec identity, state) into a CRC-framed checkpoint image.
-std::vector<std::uint8_t> snapshot_job(const JobSpec& spec,
-                                       const JobState& st);
+/// Serializes (spec identity, state) into a CRC-framed checkpoint image in
+/// `out`, replacing its contents.  The buffer keeps its capacity, so
+/// re-snapshotting into the same buffer makes no heap request.
+void snapshot_job(const JobSpec& spec, const JobState& st,
+                  std::vector<std::uint8_t>& out);
 
 /// Parses and validates a snapshot for `spec`; throws ckpt::CkptError on any
 /// corruption or a snapshot that belongs to a different job.

@@ -157,7 +157,8 @@ class ServiceRun {
   struct Rec {
     JobSpec spec;
     JobState live;
-    std::vector<std::uint8_t> snapshot;  ///< CRC-framed image; empty = none
+    /// CRC-framed image, rewritten in place; empty = none.
+    std::vector<std::uint8_t> snapshot;
     RecState state = RecState::Submitted;
     JobStatus status = JobStatus::Failed;
     JobResult result;
@@ -581,7 +582,7 @@ class ServiceRun {
     }
     if (cfg_.checkpoint_every > 0 &&
         rec.live.steps_done % cfg_.checkpoint_every == 0) {
-      rec.snapshot = snapshot_job(rec.spec, rec.live);
+      snapshot_job(rec.spec, rec.live, rec.snapshot);
       rec.snap_corrupted = rec.live_corrupted;
       ++snapshots_;
       extra += sim::Time::sec(cfg_.checkpoint_cost_s);

@@ -10,12 +10,49 @@
 
 namespace cbe::trace {
 
+namespace {
+
+// An Event packed into five 64-bit words, so a slot can be stored and copied
+// word by word through atomics.
+constexpr std::size_t kWords = 5;
+using Words = std::uint64_t[kWords];
+
+void pack(const Event& e, Words& w) {
+  w[0] = static_cast<std::uint64_t>(e.t_ns);
+  w[1] = static_cast<std::uint64_t>(e.a);
+  w[2] = static_cast<std::uint64_t>(e.b);
+  w[3] = e.span;
+  w[4] = static_cast<std::uint32_t>(e.pid) |
+         static_cast<std::uint64_t>(static_cast<std::uint16_t>(e.spe)) << 32 |
+         static_cast<std::uint64_t>(e.kind) << 48;
+}
+
+Event unpack(const Words& w) {
+  return Event{static_cast<std::int64_t>(w[0]),
+               static_cast<std::int64_t>(w[1]),
+               static_cast<std::int64_t>(w[2]),
+               static_cast<std::int32_t>(w[4] & 0xffffffffu),
+               static_cast<std::int16_t>((w[4] >> 32) & 0xffffu),
+               static_cast<EventKind>((w[4] >> 48) & 0xffu),
+               w[3]};
+}
+
+}  // namespace
+
 // One single-writer ring.  `head` counts every record by the owning thread;
-// slot i of event n lives at n % capacity.  The writer stores the slot, then
-// release-stores head; readers acquire head and copy only published slots.
+// event n lives in slot n % capacity.  Each slot is a sequence lock: the
+// writer marks it busy (sequence 2n + 1), release-stores the payload words,
+// publishes sequence 2n + 2, then release-stores head.  A reader checks the
+// sequence, acquire-loads the words and re-checks the sequence: a word
+// written by a later event would make the busy mark visible, so a slot
+// overwritten during the copy is detected and dropped, never returned torn.
 struct FlightRecorder::Ring {
+  struct Slot {
+    std::atomic<std::uint64_t> seq{0};
+    std::atomic<std::uint64_t> words[kWords];
+  };
   explicit Ring(std::size_t capacity) : slots(capacity) {}
-  std::vector<Event> slots;
+  std::vector<Slot> slots;
   std::atomic<std::uint64_t> head{0};
 };
 
@@ -62,9 +99,16 @@ void FlightRecorder::record(std::int64_t t_ns, EventKind kind, int spe,
                             int pid, std::int64_t a, std::int64_t b) {
   Ring* r = ring_for_this_thread();
   const std::uint64_t h = r->head.load(std::memory_order_relaxed);
-  r->slots[static_cast<std::size_t>(h % capacity_)] =
-      Event{t_ns, a, b, pid, static_cast<std::int16_t>(spe), kind,
-            current_span()};
+  Ring::Slot& slot = r->slots[static_cast<std::size_t>(h % capacity_)];
+  Words words{};
+  pack(Event{t_ns, a, b, pid, static_cast<std::int16_t>(spe), kind,
+             current_span()},
+       words);
+  slot.seq.store(2 * h + 1, std::memory_order_relaxed);
+  for (std::size_t i = 0; i < kWords; ++i) {
+    slot.words[i].store(words[i], std::memory_order_release);
+  }
+  slot.seq.store(2 * h + 2, std::memory_order_release);
   r->head.store(h + 1, std::memory_order_release);
 }
 
@@ -78,7 +122,16 @@ std::vector<Event> FlightRecorder::tail() const {
           h < capacity_ ? h : static_cast<std::uint64_t>(capacity_);
       out.reserve(out.size() + n);
       for (std::uint64_t i = h - n; i < h; ++i) {
-        out.push_back(r->slots[static_cast<std::size_t>(i % capacity_)]);
+        const Ring::Slot& slot =
+            r->slots[static_cast<std::size_t>(i % capacity_)];
+        const std::uint64_t published = 2 * i + 2;
+        if (slot.seq.load(std::memory_order_acquire) != published) continue;
+        Words w{};
+        for (std::size_t k = 0; k < kWords; ++k) {
+          w[k] = slot.words[k].load(std::memory_order_acquire);
+        }
+        if (slot.seq.load(std::memory_order_relaxed) != published) continue;
+        out.push_back(unpack(w));
       }
     }
   }

@@ -2,22 +2,23 @@
 //
 // A FlightRecorder is a TraceSink whose storage is a set of bounded,
 // per-thread ring buffers instead of an unbounded vector: the record path is
-// one thread-local lookup, one array store, and one release store of the
-// ring head — no locks, no allocation after attach — so it is cheap enough
-// to leave installed for the whole life of a long-running service.  When a
+// one thread-local lookup, a handful of word stores into one slot, and one
+// release store of the ring head — no locks, no allocation after attach —
+// so it is cheap enough to leave installed for the whole life of a
+// long-running service.  When a
 // ring fills, the oldest events are overwritten (never the newest): the
 // recorder always holds the causal *tail* of what just happened, which is
 // exactly what a crash report needs.
 //
 // Memory model (the TSan suite pins this):
-//   - each ring has exactly one writer, the thread that attached it; the
-//     writer stores the slot first, then publishes with a release store of
-//     the head counter;
+//   - each ring has exactly one writer, the thread that attached it; every
+//     slot is a sequence lock whose payload is stored as atomic words, so a
+//     concurrent copy is never a data race;
 //   - tail() acquires every head once and copies only published slots, so a
-//     quiescent-writer snapshot is race-free and per-thread order-exact;
+//     quiescent-writer snapshot is exact and per-thread order-exact;
 //   - a snapshot taken while writers are still recording (the crash path)
-//     may observe a slot mid-overwrite — a torn *oldest* event, never a torn
-//     newest one, and never a crash.  Crash dumps accept that bargain.
+//     drops any slot that was overwritten while it was being copied: it may
+//     miss some of the *oldest* events, but never returns a torn one.
 //
 // Dumping: install_flight_recorder() registers a process-wide recorder plus
 // a dump path; dump_flight_recorder(reason) writes the merged tail as a
@@ -49,8 +50,8 @@ class FlightRecorder final : public TraceSink {
 
   /// Merged snapshot of every thread's surviving events, sorted by
   /// timestamp (stable across rings in attach order).  Exact when writers
-  /// are quiescent; best-effort (possibly one torn oldest event per ring)
-  /// when taken mid-flight, as a crash dump is.
+  /// are quiescent; taken mid-flight, as a crash dump is, it leaves out
+  /// slots that were overwritten during the copy.
   std::vector<Event> tail() const;
 
   std::size_t capacity() const noexcept { return capacity_; }

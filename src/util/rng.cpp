@@ -113,11 +113,13 @@ RngState Rng::state() const noexcept {
   return st;
 }
 
-void Rng::set_state(const RngState& st) noexcept {
-  for (int i = 0; i < 4; ++i) s_[i] = st.s[static_cast<std::size_t>(i)];
-  __builtin_memcpy(&cached_normal_, &st.cached_normal_bits,
-                   sizeof(cached_normal_));
-  has_cached_normal_ = st.has_cached_normal;
+Rng Rng::from_state(const RngState& st) noexcept {
+  Rng r{Unseeded{}};
+  for (int i = 0; i < 4; ++i) r.s_[i] = st.s[static_cast<std::size_t>(i)];
+  __builtin_memcpy(&r.cached_normal_, &st.cached_normal_bits,
+                   sizeof(r.cached_normal_));
+  r.has_cached_normal_ = st.has_cached_normal;
+  return r;
 }
 
 }  // namespace cbe::util

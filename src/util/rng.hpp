@@ -73,10 +73,14 @@ class Rng {
   Rng split() noexcept;
 
   /// Snapshot / restore the full generator state (bit-exact resume).
+  /// from_state() skips seeding, so a restore costs no splitmix64 rounds.
   RngState state() const noexcept;
-  void set_state(const RngState& st) noexcept;
+  static Rng from_state(const RngState& st) noexcept;
 
  private:
+  struct Unseeded {};
+  explicit Rng(Unseeded) noexcept {}
+
   std::uint64_t s_[4];
   double cached_normal_ = 0.0;
   bool has_cached_normal_ = false;

@@ -14,6 +14,7 @@
 #include "ckpt/checkpoint.hpp"
 #include "ckpt/format.hpp"
 #include "ckpt/runner.hpp"
+#include "ckpt_sample.hpp"
 
 namespace cbe::ckpt {
 namespace {
@@ -62,23 +63,8 @@ ErrorKind parse_failure(const std::vector<std::uint8_t>& bytes,
   return ErrorKind::Io;
 }
 
-BootstrapJob tiny_job() {
-  BootstrapJob job;
-  job.taxa = 6;
-  job.sites = 60;
-  job.bootstraps = 3;
-  job.seed = 77;
-  return job;
-}
-
-// A small but fully populated state (two completed replicates).
-RunState sample_state() {
-  RunState st = make_fresh(tiny_job());
-  st.job.bootstraps = 2;
-  run_job(st, {});
-  st.job.bootstraps = tiny_job().bootstraps;
-  return st;
-}
+using sample::sample_state;
+using sample::tiny_job;
 
 std::string temp_path(const char* name) {
   return testing::TempDir() + name;

@@ -105,8 +105,8 @@ TEST(FlightRecorderTest, PerThreadRingsMergeByTimestamp) {
 }
 
 // TSan stress: writers hammer their rings while a reader snapshots
-// concurrently.  The memory-model contract (slot store, then release-store
-// of the head; tail() acquires heads) must hold race-free, and every
+// concurrently.  The memory-model contract (per-slot sequence locks over
+// atomic payload words; tail() acquires heads) must hold race-free, and every
 // mid-flight snapshot must stay well-formed: bounded size, monotone
 // timestamps, and only values a writer could have produced.
 TEST(FlightRecorderStressTest, ConcurrentRecordAndTail) {

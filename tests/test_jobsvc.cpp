@@ -1,24 +1,33 @@
 // Job-service tests: the bit-identical migration guarantee end to end
 // (scripted FaultPlan blade kills), deterministic retry/backoff schedules,
 // admission control, per-tenant fairness, circuit breaking, watchdogs, and
-// the snapshot validation path.
+// the snapshot validation path: a byte golden of snapshot_job and a seeded
+// mutation test of restore_job.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
+#include <limits>
 #include <set>
 #include <sstream>
 #include <string>
 #include <vector>
 
+// Counting operator new: the mutation test bounds restore_job's largest
+// heap request.
+#include "alloc_counter.hpp"
+#include "ckpt/checkpoint.hpp"
 #include "ckpt/format.hpp"
+#include "ckpt_sample.hpp"
 #include "jobsvc/service.hpp"
 #include "trace/export.hpp"
 #include "trace/metrics.hpp"
 #include "trace/trace.hpp"
+#include "util/crc32.hpp"
 
 using namespace cbe;
 using namespace cbe::jobsvc;
@@ -92,7 +101,8 @@ TEST(JobModel, SnapshotRoundtripResumesExactly) {
 
   JobState st = make_initial_state(spec, 2026);
   for (int i = 0; i < 10; ++i) run_step(st);
-  const std::vector<std::uint8_t> snap = snapshot_job(spec, st);
+  std::vector<std::uint8_t> snap;
+  snapshot_job(spec, st, snap);
   JobState resumed = restore_job(spec, snap);
   EXPECT_EQ(resumed.steps_done, 10);
   for (int i = 10; i < spec.steps; ++i) run_step(resumed);
@@ -105,7 +115,8 @@ TEST(JobModel, SnapshotValidationRejectsCorruptionAndWrongJob) {
   spec.steps = 8;
   JobState st = make_initial_state(spec, 2026);
   run_step(st);
-  std::vector<std::uint8_t> snap = snapshot_job(spec, st);
+  std::vector<std::uint8_t> snap;
+  snapshot_job(spec, st, snap);
 
   std::vector<std::uint8_t> bad = snap;
   bad[bad.size() / 2] ^= 0x40;
@@ -646,4 +657,255 @@ TEST(Spans, MigrationHopsAdvanceTheSpanGeneration) {
     if (p.hop > 0) saw_hop = true;
   }
   EXPECT_TRUE(saw_hop) << "at least one migration span should carry hop > 0";
+}
+
+// -- snapshot bytes golden ---------------------------------------------------
+
+namespace {
+
+std::vector<std::uint8_t> snapshot_of(const JobSpec& spec,
+                                      const JobState& st) {
+  std::vector<std::uint8_t> out;
+  snapshot_job(spec, st, out);
+  return out;
+}
+
+std::uint64_t bits_of(double v) {
+  std::uint64_t b;
+  std::memcpy(&b, &v, sizeof b);
+  return b;
+}
+
+bool same_state(const JobState& a, const JobState& b) {
+  return a.rng == b.rng && a.digest == b.digest &&
+         bits_of(a.value) == bits_of(b.value) && a.steps_done == b.steps_done;
+}
+
+struct SnapshotCase {
+  JobSpec spec;
+  JobState st;
+};
+
+// Seeded (spec, state) pairs that reach every field's edges: ids from 0 to
+// 2^64 - 1, tenants past 2^31, negative and extreme priorities, step counts
+// up to the restore limit, generator states with and without a cached
+// normal variate, and the all-zero state.
+std::vector<SnapshotCase> snapshot_cases() {
+  util::Rng rng(0x534e4150474f4c44ull);  // "SNAPGOLD"
+  std::vector<SnapshotCase> out;
+  for (int i = 0; i < 64; ++i) {
+    SnapshotCase c;
+    switch (i % 4) {
+      case 0: c.spec.id = rng.below(1000); break;
+      case 1: c.spec.id = rng(); break;
+      case 2: c.spec.id = ~std::uint64_t{0} - rng.below(4); break;
+      default: c.spec.id = (std::uint64_t{1} << 32) + rng.below(1u << 20);
+    }
+    c.spec.tenant = static_cast<std::uint32_t>(i % 3 == 0 ? rng()
+                                                          : rng.below(16));
+    c.spec.priority = i % 8 == 6   ? std::numeric_limits<int>::min()
+                      : i % 8 == 7 ? std::numeric_limits<int>::max()
+                                   : static_cast<int>(rng.range(-100, 100));
+    c.spec.steps =
+        i % 5 == 0 ? 1 << 24 : static_cast<int>(rng.range(1, 5000));
+    c.spec.step_cost_s = rng.uniform(1e-4, 1.0);
+    // An odd number of normal() draws leaves a cached variate behind.
+    util::Rng stream(rng());
+    for (int k = 0; k < (i / 4) % 3; ++k) stream.normal();
+    c.st.rng = stream.state();
+    c.st.digest = rng();
+    c.st.value = rng.normal(0.0, 1e6);
+    c.st.steps_done = static_cast<int>(rng.range(0, c.spec.steps));
+    if (i == 0) c.st = JobState{};
+    out.push_back(c);
+  }
+  return out;
+}
+
+std::string hex_of(const std::vector<std::uint8_t>& bytes) {
+  static const char digits[] = "0123456789abcdef";
+  std::string out;
+  for (std::uint8_t b : bytes) {
+    out += digits[b >> 4];
+    out += digits[b & 0xf];
+  }
+  return out;
+}
+
+std::vector<std::uint8_t> bytes_of_hex(const std::string& hex) {
+  std::vector<std::uint8_t> out;
+  for (std::size_t i = 0; i + 1 < hex.size(); i += 2) {
+    out.push_back(static_cast<std::uint8_t>(
+        std::stoul(hex.substr(i, 2), nullptr, 16)));
+  }
+  return out;
+}
+
+std::string snapshot_golden_text(const std::vector<SnapshotCase>& cases) {
+  std::string out =
+      "# snapshot_job bytes for seeded (spec, state) pairs, then the CRC32 "
+      "of the test_ckpt sample state's serialized image\n";
+  char line[160];
+  for (const SnapshotCase& c : cases) {
+    std::snprintf(line, sizeof line,
+                  "snapshot id=%" PRIu64 " tenant=%" PRIu32
+                  " priority=%d steps=%d done=%d cached=%d bytes=",
+                  c.spec.id, c.spec.tenant, c.spec.priority, c.spec.steps,
+                  c.st.steps_done, c.st.rng.has_cached_normal ? 1 : 0);
+    out += line;
+    out += hex_of(snapshot_of(c.spec, c.st));
+    out += '\n';
+  }
+  const std::vector<std::uint8_t> image =
+      ckpt::to_image(ckpt::sample::sample_state()).serialize();
+  std::snprintf(line, sizeof line, "ckpt_sample size=%zu crc=%08" PRIx32 "\n",
+                image.size(), util::crc32(image.data(), image.size()));
+  out += line;
+  return out;
+}
+
+}  // namespace
+
+// Pins the exact bytes of snapshot_job, and of the checkpoint framing under
+// it, against a fixture recorded from the CheckpointImage + PayloadWriter
+// implementation that the streaming writer replaced.  Every fixture entry
+// must also restore to the state it was taken from.  Regenerate (only for
+// an intended format change) with CBE_REGEN_GOLDEN=1 build/tests/test_jobsvc.
+TEST(SnapshotGolden, BytesMatchFixtureAndRestore) {
+  const std::vector<SnapshotCase> cases = snapshot_cases();
+  bool cached = false, uncached = false, negative = false;
+  for (const SnapshotCase& c : cases) {
+    (c.st.rng.has_cached_normal ? cached : uncached) = true;
+    negative = negative || c.spec.priority < 0;
+  }
+  EXPECT_TRUE(cached && uncached && negative);
+
+  const std::string path =
+      std::string(CBE_GOLDEN_DIR) + "/jobsvc_snapshots.txt";
+  const std::string got = snapshot_golden_text(cases);
+  if (std::getenv("CBE_REGEN_GOLDEN") != nullptr) {
+    ASSERT_TRUE(trace::write_file(path, got));
+    GTEST_SKIP() << "regenerated " << path << "; commit it and re-run";
+  }
+  std::ifstream in(path, std::ios::binary);
+  ASSERT_TRUE(in) << "missing fixture " << path;
+  std::vector<std::string> want;
+  for (std::string l; std::getline(in, l);) want.push_back(l);
+  std::istringstream gs(got);
+  std::size_t n = 0;
+  for (std::string gl; std::getline(gs, gl); ++n) {
+    ASSERT_LT(n, want.size()) << "fixture is shorter than the output";
+    ASSERT_EQ(gl, want[n]) << "first divergence at line " << n + 1;
+  }
+  ASSERT_EQ(n, want.size());
+
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    const std::string& l = want[i + 1];
+    const std::vector<std::uint8_t> bytes =
+        bytes_of_hex(l.substr(l.find("bytes=") + 6));
+    EXPECT_TRUE(same_state(restore_job(cases[i].spec, bytes), cases[i].st))
+        << "fixture line " << i + 2;
+  }
+}
+
+// -- snapshot mutation -------------------------------------------------------
+
+namespace {
+
+enum class Restored { Original, Donor, Threw };
+
+struct MutationProbe {
+  JobSpec spec;
+  JobState original;
+  JobState donor;
+  Restored restore(const std::vector<std::uint8_t>& bytes,
+                   std::size_t* largest) const {
+    alloc_counter::reset_largest();
+    Restored r = Restored::Threw;
+    try {
+      const JobState st = restore_job(spec, bytes);
+      if (same_state(st, original)) {
+        r = Restored::Original;
+      } else {
+        EXPECT_TRUE(same_state(st, donor))
+            << "a mutant restored to a state no input carried";
+        r = Restored::Donor;
+      }
+    } catch (const ckpt::CkptError&) {
+    }
+    *largest = alloc_counter::largest.load();
+    return r;
+  }
+};
+
+}  // namespace
+
+// Every single-bit flip, every truncation and every splice with another
+// job's snapshot of the same size: restore_job returns the exact original
+// state or throws ckpt::CkptError, and never makes a heap request larger
+// than the input (or than its own diagnostic message).  The sanitizer legs
+// run this, so a read past the input would abort.
+TEST(SnapshotMutation, RestoreReturnsOriginalOrThrows) {
+  MutationProbe probe;
+  probe.spec.id = 11;
+  probe.spec.tenant = 2;
+  probe.spec.priority = -3;
+  probe.spec.steps = 40;
+  probe.original = make_initial_state(probe.spec, 2026);
+  for (int i = 0; i < 13; ++i) run_step(probe.original);
+  const std::vector<std::uint8_t> snap =
+      snapshot_of(probe.spec, probe.original);
+  ASSERT_EQ(snap.size(), 157u);
+
+  JobSpec other = probe.spec;
+  other.id = 12;
+  probe.donor = make_initial_state(other, 2026);
+  for (int i = 0; i < 21; ++i) run_step(probe.donor);
+  const std::vector<std::uint8_t> donor = snapshot_of(other, probe.donor);
+  ASSERT_EQ(donor.size(), snap.size());
+  ASSERT_FALSE(same_state(probe.original, probe.donor));
+
+  std::size_t largest = 0;
+  ASSERT_EQ(probe.restore(snap, &largest), Restored::Original);
+  // A diagnostic message grows to a few hundred bytes at most.
+  constexpr std::size_t kDiagnosticBytes = 256;
+  auto within_bound = [&](std::size_t input) {
+    return largest <= std::max(input, kDiagnosticBytes);
+  };
+
+  for (std::size_t at = 0; at < snap.size(); ++at) {
+    for (int bit = 0; bit < 8; ++bit) {
+      std::vector<std::uint8_t> m = snap;
+      m[at] ^= static_cast<std::uint8_t>(1u << bit);
+      EXPECT_EQ(probe.restore(m, &largest), Restored::Threw)
+          << "bit " << bit << " of byte " << at;
+      EXPECT_TRUE(within_bound(m.size())) << largest << " bytes";
+    }
+  }
+  for (std::size_t len = 0; len < snap.size(); ++len) {
+    const std::vector<std::uint8_t> m(snap.begin(), snap.begin() + len);
+    EXPECT_EQ(probe.restore(m, &largest), Restored::Threw) << "length " << len;
+    EXPECT_TRUE(within_bound(m.size())) << largest << " bytes";
+  }
+  // Splices both ways round at every cut point.  The state section does not
+  // name its job, so one spliced image passes every check: this snapshot's
+  // header and spec frame (36 + 44 bytes) followed by the donor's whole
+  // state frame.  It restores the donor's state; ROADMAP item 4 records the
+  // gap.  Cuts inside the state frame's tag and length, which the two
+  // snapshots share, yield the same image.
+  std::vector<std::uint8_t> boundary(snap.begin(), snap.begin() + 80);
+  boundary.insert(boundary.end(), donor.begin() + 80, donor.end());
+  EXPECT_EQ(probe.restore(boundary, &largest), Restored::Donor);
+  for (std::size_t cut = 0; cut <= snap.size(); ++cut) {
+    std::vector<std::uint8_t> head_here(snap.begin(), snap.begin() + cut);
+    head_here.insert(head_here.end(), donor.begin() + cut, donor.end());
+    std::vector<std::uint8_t> head_donor(donor.begin(), donor.begin() + cut);
+    head_donor.insert(head_donor.end(), snap.begin() + cut, snap.end());
+    for (const std::vector<std::uint8_t>* m : {&head_here, &head_donor}) {
+      if (probe.restore(*m, &largest) == Restored::Donor) {
+        EXPECT_TRUE(*m == boundary) << "cut " << cut;
+      }
+      EXPECT_TRUE(within_bound(m->size())) << largest << " bytes";
+    }
+  }
 }

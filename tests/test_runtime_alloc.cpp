@@ -9,38 +9,17 @@
 // simulating less cannot pass.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
-#include <new>
-#include <sstream>
 #include <string>
 
+#include "alloc_counter.hpp"
 #include "runtime_matrix.hpp"
 
 #ifndef CBE_GOLDEN_DIR
 #define CBE_GOLDEN_DIR "tests/golden"
 #endif
-
-namespace {
-std::atomic<std::uint64_t> g_allocs{0};
-}  // namespace
-
-void* operator new(std::size_t n) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t n) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
-  throw std::bad_alloc();
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace cbe::rt {
 namespace {
@@ -67,20 +46,21 @@ Measured measure(matrix::Policy p, int bootstraps) {
   const task::Workload wl = matrix::workload(bootstraps);
   const RunConfig cfg = matrix::config(bootstraps, false);
   auto policy = matrix::make_policy(p);
-  const std::uint64_t before = g_allocs.load(std::memory_order_relaxed);
+  const std::uint64_t before =
+      alloc_counter::count.load(std::memory_order_relaxed);
   Measured m;
   m.result = run_workload(wl, *policy, cfg);
   const std::uint64_t allocs =
-      g_allocs.load(std::memory_order_relaxed) - before;
+      alloc_counter::count.load(std::memory_order_relaxed) - before;
   m.allocs_per_offload = static_cast<double>(allocs) /
                          static_cast<double>(m.result.offloads);
   return m;
 }
 
 TEST(RuntimeAlloc, CounterSeesAllocations) {
-  const std::uint64_t before = g_allocs.load();
+  const std::uint64_t before = alloc_counter::count.load();
   auto* p = new int(7);
-  EXPECT_EQ(g_allocs.load() - before, 1u);
+  EXPECT_EQ(alloc_counter::count.load() - before, 1u);
   delete p;
 }
 

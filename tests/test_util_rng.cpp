@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <set>
 #include <vector>
 
@@ -163,6 +164,21 @@ TEST(Rng, SplitStreamsAreIndependent) {
   int equal = 0;
   for (int i = 0; i < 100; ++i) equal += a() == b() ? 1 : 0;
   EXPECT_LT(equal, 3);
+}
+
+TEST(Rng, FromStateResumesTheStreamExactly) {
+  for (int draws = 0; draws < 4; ++draws) {
+    Rng a(77);
+    for (int i = 0; i < draws; ++i) a.normal();  // odd counts cache a variate
+    Rng b = Rng::from_state(a.state());
+    EXPECT_EQ(b.state(), a.state());
+    for (int i = 0; i < 8; ++i) {
+      const double x = a.normal();
+      const double y = b.normal();
+      EXPECT_EQ(std::memcmp(&x, &y, sizeof x), 0) << "draw " << i;
+      EXPECT_EQ(a(), b());
+    }
+  }
 }
 
 TEST(Splitmix, KnownFirstValueNonzeroAndDeterministic) {
