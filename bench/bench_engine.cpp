@@ -1,6 +1,6 @@
 // DES-core microbenchmark (ROADMAP item 4): host throughput of the event
-// engine, scalar and sharded, against an in-bench replica of the pre-fix
-// engine (binary heap + std::function callbacks + unbounded lazy deletion).
+// engine against an in-bench replica of the pre-fix engine (binary heap +
+// std::function callbacks + unbounded lazy deletion).
 //
 // Series (cbe-bench-v1):
 //   new/pure, legacy/pure      N scattered schedule+run events, wall seconds
@@ -11,9 +11,6 @@
 //                              dimensionless, machine-portable, CI-gated via
 //                              bench_diff --only=ratio/ (ISSUE 8 demands
 //                              <= 333, i.e. >= 3x events/sec, on churn)
-//   sharded/N                  the same total event count split over N
-//                              shards on the work-stealing pool (wall;
-//                              informational, machine-dependent)
 //
 //   build/bench/bench_engine [--events=N] [--churn=N] [--outstanding=N]
 //       [--reps=N] [--seed=S] [--json[=F]]
@@ -26,9 +23,7 @@
 #include <vector>
 
 #include "bench_report.hpp"
-#include "native/offload_pool.hpp"
 #include "sim/engine.hpp"
-#include "sim/sharded.hpp"
 #include "util/cli.hpp"
 #include "util/stats.hpp"
 
@@ -179,44 +174,6 @@ double churn_once(int iters, int outstanding) {
   return dt;
 }
 
-/// The pure workload split across shards, simulated in parallel windows on
-/// the work-stealing pool.  Per-shard chains keep every event shard-local.
-double sharded_once(native::OffloadPool* pool, int shards, int events) {
-  // Coarse windows (the chains are shard-local, so lookahead is free): each
-  // barrier amortizes over thousands of events per shard.
-  sim::ShardedEngine eng(shards, Time::us(100.0));
-  const int per_shard = events / shards;
-  struct Chain {
-    sim::Engine* eng;
-    std::uint64_t fired = 0;
-    int left = 0;
-    std::int64_t jitter = 0;
-    void step() {
-      ++fired;
-      if (left-- <= 0) return;
-      jitter = (jitter * 6364136223846793005ll + 1442695040888963407ll);
-      eng->schedule_after(Time::ns(1 + ((jitter >> 33) & 1023)),
-                          [this] { step(); });
-    }
-  };
-  constexpr int kChainsPerShard = 16;
-  std::vector<Chain> all(static_cast<std::size_t>(shards * kChainsPerShard));
-  for (int s = 0; s < shards; ++s) {
-    for (int c = 0; c < kChainsPerShard; ++c) {
-      Chain& ch = all[static_cast<std::size_t>(s * kChainsPerShard + c)];
-      ch.eng = &eng.shard(s);
-      ch.left = per_shard / kChainsPerShard;
-      ch.jitter = s * 977 + c;
-      ch.eng->schedule_at(Time::ns(c + 1), [&ch] { ch.step(); });
-    }
-  }
-  const auto t0 = std::chrono::steady_clock::now();
-  eng.run(pool);
-  const double dt = seconds_since(t0);
-  for (const Chain& ch : all) g_sink += ch.fired;
-  return dt;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -254,15 +211,6 @@ int main(int argc, char** argv) {
       util::median(new_churn) / util::median(legacy_churn);
   report.add_sample("ratio/pure", pure_ratio * 1e-6);
   report.add_sample("ratio/churn", churn_ratio * 1e-6);
-
-  native::OffloadPool pool(4);
-  for (const int shards : {1, 2, 4}) {
-    for (int r = 0; r < reps; ++r) {
-      report.add_sample("sharded/" + std::to_string(shards),
-                        sharded_once(shards > 1 ? &pool : nullptr, shards,
-                                     events));
-    }
-  }
 
   std::printf(
       "engine: pure %.1fM ev/s (legacy %.1fM, %.2fx)  churn %.1fM op/s "

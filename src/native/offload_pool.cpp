@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "trace/metrics.hpp"
+#include "trace/recorder.hpp"
 #include "trace/trace.hpp"
 #include "util/rng.hpp"
 
@@ -19,7 +20,7 @@ struct WorkerTls {
   int index = -1;
   bool finished = true;  ///< finish_task() already ran for the current task
 #if CBE_TRACE_ENABLED
-  trace::ConcurrentTraceSink::Buffer* buf = nullptr;
+  trace::FlightRecorder* rec = nullptr;  ///< loaded at dispatch
   std::int32_t task_id = 0;
   std::chrono::steady_clock::time_point t0;
 #endif
@@ -44,11 +45,11 @@ OffloadPool::OffloadPool(int workers) {
   }
 }
 
-void OffloadPool::set_trace(trace::ConcurrentTraceSink* sink) noexcept {
+void OffloadPool::set_trace(trace::FlightRecorder* rec) noexcept {
 #if CBE_TRACE_ENABLED
-  trace_sink_.store(sink, std::memory_order_release);
+  trace_rec_.store(rec, std::memory_order_release);
 #else
-  (void)sink;
+  (void)rec;
 #endif
 }
 
@@ -81,10 +82,6 @@ OffloadPool::~OffloadPool() {
   for (auto& d : deques_) {
     while (Job* j = d->pop()) delete j;
   }
-}
-
-int OffloadPool::idle_workers() const noexcept {
-  return workers() - busy_.load(std::memory_order_relaxed);
 }
 
 void OffloadPool::wake_one() {
@@ -321,12 +318,6 @@ void OffloadPool::watchdog_loop() {
 void OffloadPool::worker_loop(int index) {
   tls_worker.pool = this;
   tls_worker.index = index;
-#if CBE_TRACE_ENABLED
-  // Lazily (re-)attach this worker's single-writer buffer when a sink is
-  // installed; the buffer pointer is thread-private from then on.
-  trace::ConcurrentTraceSink* attached_to = nullptr;
-  trace::ConcurrentTraceSink::Buffer* buf = nullptr;
-#endif
   WorkStealingDeque<Job>& own = *deques_[static_cast<std::size_t>(index)];
   for (;;) {
     // Own deque (LIFO, lock-free) -> injection queue -> steal (FIFO).
@@ -362,27 +353,21 @@ void OffloadPool::worker_loop(int index) {
       continue;
     }
 
-    busy_.fetch_add(1, std::memory_order_relaxed);
     // Re-install the submitter's span for the task's whole execution, so
     // both trace records below and any nested enqueue() inherit it.
     trace::ScopedSpan span(job->span);
 #if CBE_TRACE_ENABLED
-    trace::ConcurrentTraceSink* sink =
-        trace_sink_.load(std::memory_order_acquire);
-    if (sink != attached_to) {
-      attached_to = sink;
-      buf = sink != nullptr ? sink->attach() : nullptr;
-    }
+    trace::FlightRecorder* rec = trace_rec_.load(std::memory_order_acquire);
     const auto task_id = static_cast<std::int32_t>(
         next_task_id_.fetch_add(1, std::memory_order_relaxed));
     const auto t0 = std::chrono::steady_clock::now();
-    if (buf != nullptr) {
-      buf->record(
+    if (rec != nullptr) {
+      rec->record(
           std::chrono::duration_cast<std::chrono::nanoseconds>(t0 - epoch_)
               .count(),
           trace::EventKind::TaskDispatch, index, task_id);
     }
-    tls_worker.buf = buf;
+    tls_worker.rec = rec;
     tls_worker.task_id = task_id;
     tls_worker.t0 = t0;
 #endif
@@ -390,7 +375,6 @@ void OffloadPool::worker_loop(int index) {
     job->fn();  // offload wrappers call finish_task() before publishing
     delete job;
     finish_task();  // tasks without a future: parallel_for helpers
-    busy_.fetch_sub(1, std::memory_order_relaxed);
   }
 }
 
@@ -401,8 +385,8 @@ void OffloadPool::finish_task() noexcept {
   tasks_executed_.fetch_add(1, std::memory_order_relaxed);
 #if CBE_TRACE_ENABLED
   const auto t1 = std::chrono::steady_clock::now();
-  if (w.buf != nullptr) {
-    w.buf->record(
+  if (w.rec != nullptr) {
+    w.rec->record(
         std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - epoch_)
             .count(),
         trace::EventKind::TaskComplete, w.index, w.task_id);

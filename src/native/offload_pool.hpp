@@ -37,7 +37,7 @@
 #include "native/work_deque.hpp"
 
 namespace cbe::trace {
-class ConcurrentTraceSink;
+class FlightRecorder;
 class Histogram;
 class MetricsRegistry;
 }  // namespace cbe::trace
@@ -97,8 +97,6 @@ class OffloadPool {
   OffloadPool& operator=(const OffloadPool&) = delete;
 
   int workers() const noexcept { return static_cast<int>(threads_.size()); }
-  /// Workers not currently running a task (approximate, racy by nature).
-  int idle_workers() const noexcept;
 
   /// Off-loads a task; the returned future completes when it ran.
   std::future<void> offload(std::function<void()> task);
@@ -212,11 +210,12 @@ class OffloadPool {
     return integrity_mismatches_.load(std::memory_order_relaxed);
   }
 
-  /// Streams per-task dispatch/complete events into `sink` (timestamps are
-  /// steady-clock ns since pool construction; spe=worker index).  Each
-  /// worker writes its own single-writer buffer, so recording is lock-free.
-  /// Pass nullptr to detach.  A no-op with CBE_TRACE=OFF.
-  void set_trace(trace::ConcurrentTraceSink* sink) noexcept;
+  /// Streams per-task dispatch/complete events into `rec` (timestamps are
+  /// steady-clock ns since pool construction; spe=worker index; span=the
+  /// submitter's).  Each worker records into its own ring of the recorder,
+  /// so recording is lock-free.  Pass nullptr to detach.  A no-op with
+  /// CBE_TRACE=OFF.
+  void set_trace(trace::FlightRecorder* rec) noexcept;
   /// Records per-task latency into `m`'s "native.task_us" histogram.
   /// Pass nullptr to detach.  A no-op with CBE_TRACE=OFF.
   void set_metrics(trace::MetricsRegistry* m);
@@ -275,7 +274,6 @@ class OffloadPool {
   std::vector<std::unique_ptr<WorkStealingDeque<Job>>> deques_;
   std::vector<std::thread> threads_;
   bool stop_ = false;
-  std::atomic<int> busy_{0};
   std::atomic<std::uint64_t> tasks_executed_{0};
   std::atomic<std::uint64_t> retries_{0};
   std::atomic<std::uint64_t> steals_{0};
@@ -290,7 +288,7 @@ class OffloadPool {
   // Observability (see set_trace / set_metrics).
   const std::chrono::steady_clock::time_point epoch_ =
       std::chrono::steady_clock::now();
-  std::atomic<trace::ConcurrentTraceSink*> trace_sink_{nullptr};
+  std::atomic<trace::FlightRecorder*> trace_rec_{nullptr};
   std::atomic<trace::Histogram*> task_hist_{nullptr};
   std::atomic<std::uint64_t> next_task_id_{0};
 

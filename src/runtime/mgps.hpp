@@ -48,16 +48,10 @@ class MgpsPolicy final : public SchedulerPolicy {
     // amortize the work-sharing protocol's per-worker costs.  Section 5.3
     // observes exactly this — fine loops stop profiting from extra SPEs.
     while (d > 1 &&
-           t.loop.total_cycles() / d < static_cast<double>(min_chunk_cycles_)) {
+           t.loop.total_cycles() / d < static_cast<double>(kMinChunkCycles)) {
       --d;
     }
     return d;
-  }
-
-  /// Minimum per-SPE loop chunk (cycles) worth the sharing overhead;
-  /// ~10 us at 3.2 GHz by default.
-  void set_min_chunk_cycles(std::uint64_t c) noexcept {
-    min_chunk_cycles_ = c;
   }
 
   void on_offload(const RuntimeView&, int pid) override { note(pid); }
@@ -125,7 +119,9 @@ class MgpsPolicy final : public SchedulerPolicy {
   }
 
   int history_window_;
-  std::uint64_t min_chunk_cycles_ = 20000;  // ~6 us at 3.2 GHz
+  /// Minimum per-SPE loop chunk (cycles) worth the sharing overhead:
+  /// 20000 cycles is 6.25 us at 3.2 GHz.
+  static constexpr std::uint64_t kMinChunkCycles = 20000;
   int current_degree_ = 1;
   std::uint64_t departures_ = 0;
   std::vector<char> window_;  ///< per pid: off-loaded in this window

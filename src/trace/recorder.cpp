@@ -62,11 +62,12 @@ struct FlightRecorder::Impl {
 };
 
 // Thread-local attach cache: one ring per (thread, recorder) pair.  Keyed by
-// the recorder pointer so a thread recording into a second recorder (tests)
-// re-attaches instead of writing into the wrong ring.  Nested inside the
-// class via this struct so it can name the private Ring type.
+// the recorder's process-unique id, not its address: a thread that recorded
+// into a destroyed recorder must re-attach to a new one built at the same
+// address instead of writing into the freed ring.  Nested inside the class
+// via this struct so it can name the private Ring type.
 struct FlightRecorder::TlsAttach {
-  const void* owner = nullptr;
+  std::uint64_t owner = 0;  ///< id of the recorder `ring` belongs to
   Ring* ring = nullptr;
   static TlsAttach& self() {
     thread_local TlsAttach tls;
@@ -74,12 +75,16 @@ struct FlightRecorder::TlsAttach {
   }
 };
 
+namespace {
+std::atomic<std::uint64_t> g_next_recorder_id{1};  // 0 = "no recorder"
+}  // namespace
+
 FlightRecorder::FlightRecorder(std::size_t capacity)
-    : capacity_(capacity < 16 ? 16 : capacity), impl_(new Impl) {}
+    : capacity_(capacity < 16 ? 16 : capacity),
+      id_(g_next_recorder_id.fetch_add(1, std::memory_order_relaxed)),
+      impl_(new Impl) {}
 
 FlightRecorder::~FlightRecorder() {
-  TlsAttach& tls = TlsAttach::self();
-  if (tls.owner == this) tls = TlsAttach{};
   if (installed_flight_recorder() == this) {
     install_flight_recorder(nullptr, "");
   }
@@ -88,10 +93,10 @@ FlightRecorder::~FlightRecorder() {
 
 FlightRecorder::Ring* FlightRecorder::ring_for_this_thread() {
   TlsAttach& tls = TlsAttach::self();
-  if (tls.owner == this) return tls.ring;
+  if (tls.owner == id_) return tls.ring;
   std::lock_guard lock(impl_->mu);
   impl_->rings.push_back(std::make_unique<Ring>(capacity_));
-  tls = TlsAttach{this, impl_->rings.back().get()};
+  tls = TlsAttach{id_, impl_->rings.back().get()};
   return tls.ring;
 }
 

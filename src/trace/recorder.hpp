@@ -67,6 +67,7 @@ class FlightRecorder final : public TraceSink {
   Ring* ring_for_this_thread();
 
   const std::size_t capacity_;
+  const std::uint64_t id_;  ///< process-unique; keys the per-thread cache
   struct Impl;
   Impl* impl_;
 };

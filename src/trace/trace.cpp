@@ -1,9 +1,5 @@
 #include "trace/trace.hpp"
 
-#include <algorithm>
-#include <memory>
-#include <mutex>
-
 namespace cbe::trace {
 
 EventKind event_kind_from_name(std::string_view name) noexcept {
@@ -39,44 +35,6 @@ std::uint64_t set_current_span(std::uint64_t span) noexcept {
   const std::uint64_t prev = g_current_span;
   g_current_span = span;
   return prev;
-}
-
-struct ConcurrentTraceSink::Impl {
-  mutable std::mutex mu;
-  std::vector<std::unique_ptr<Buffer>> buffers;
-};
-
-ConcurrentTraceSink::ConcurrentTraceSink() : impl_(new Impl) {}
-
-ConcurrentTraceSink::~ConcurrentTraceSink() { delete impl_; }
-
-ConcurrentTraceSink::Buffer* ConcurrentTraceSink::attach() {
-  std::lock_guard lock(impl_->mu);
-  impl_->buffers.push_back(std::make_unique<Buffer>());
-  return impl_->buffers.back().get();
-}
-
-std::vector<Event> ConcurrentTraceSink::drain() const {
-  std::vector<Event> out;
-  {
-    std::lock_guard lock(impl_->mu);
-    std::size_t total = 0;
-    for (const auto& b : impl_->buffers) total += b->events_.size();
-    out.reserve(total);
-    for (const auto& b : impl_->buffers) {
-      out.insert(out.end(), b->events_.begin(), b->events_.end());
-    }
-  }
-  std::stable_sort(out.begin(), out.end(),
-                   [](const Event& x, const Event& y) {
-                     return x.t_ns < y.t_ns;
-                   });
-  return out;
-}
-
-std::size_t ConcurrentTraceSink::threads_attached() const noexcept {
-  std::lock_guard lock(impl_->mu);
-  return impl_->buffers.size();
 }
 
 }  // namespace cbe::trace

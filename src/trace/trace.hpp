@@ -7,9 +7,9 @@
 // a bit-identical trace, which is what makes traces usable as golden
 // regression fixtures (tests/golden/).
 //
-// The native thread pool records through a ConcurrentTraceSink instead: each
-// worker owns a single-writer buffer (no locking on the record path; the
-// registration of a new thread's buffer is the only synchronized step).
+// The native thread pool records through a trace::FlightRecorder instead
+// (trace/recorder.hpp): each worker writes its own bounded ring, so the
+// record path takes no lock.
 //
 // Tracing compiles out entirely with -DCBE_TRACE=OFF: CBE_TRACE_EVENT
 // expands to nothing and the hot paths carry zero tracing code.  When
@@ -275,47 +275,6 @@ class ScopedTrace {
 
  private:
   TraceSink* prev_;
-};
-
-/// Multi-threaded recorder for the native pool: each writer thread attaches
-/// once and then records into its own buffer without synchronization.
-/// drain() merges all buffers sorted by timestamp (record order within one
-/// thread is preserved by a per-buffer sequence).
-class ConcurrentTraceSink {
- public:
-  ConcurrentTraceSink();
-  ~ConcurrentTraceSink();
-  ConcurrentTraceSink(const ConcurrentTraceSink&) = delete;
-  ConcurrentTraceSink& operator=(const ConcurrentTraceSink&) = delete;
-
-  class Buffer {
-   public:
-    void record(std::int64_t t_ns, EventKind kind, int spe, int pid,
-                std::int64_t a = 0, std::int64_t b = 0) {
-      events_.push_back(Event{t_ns, a, b, pid,
-                              static_cast<std::int16_t>(spe), kind,
-                              current_span()});
-    }
-
-   private:
-    friend class ConcurrentTraceSink;
-    std::vector<Event> events_;
-  };
-
-  /// Registers a new single-writer buffer; call once per writer thread and
-  /// keep the pointer.  It stays valid for the sink's lifetime and must only
-  /// be used from the attaching thread.
-  Buffer* attach();
-
-  /// Merges every thread's events, sorted by timestamp (stable across
-  /// buffers in attach order).  Safe to call while writers are quiescent.
-  std::vector<Event> drain() const;
-
-  std::size_t threads_attached() const noexcept;
-
- private:
-  struct Impl;
-  Impl* impl_;
 };
 
 }  // namespace cbe::trace

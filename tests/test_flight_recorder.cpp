@@ -5,6 +5,8 @@
 
 #include <atomic>
 #include <cstdio>
+#include <future>
+#include <optional>
 #include <set>
 #include <string>
 #include <thread>
@@ -102,6 +104,37 @@ TEST(FlightRecorderTest, PerThreadRingsMergeByTimestamp) {
     EXPECT_LE(tail[i - 1].t_ns, tail[i].t_ns);
   }
   EXPECT_EQ(rec.threads_attached(), static_cast<std::size_t>(kThreads));
+}
+
+// A thread that recorded into a destroyed recorder must attach afresh to a
+// new recorder built at the same address: its cached ring belonged to the
+// old recorder and was freed with it.
+TEST(FlightRecorderTest, ThreadReattachesToNewRecorderAtReusedAddress) {
+  std::optional<trace::FlightRecorder> rec;
+  rec.emplace(64);
+  const trace::FlightRecorder* first = &*rec;
+  std::promise<void> first_recorded;
+  std::promise<void> rebuilt;
+  std::thread writer([&rec, &first_recorded, go = rebuilt.get_future()] {
+    rec->record(1, EventKind::TaskDispatch, 0, 1);
+    first_recorded.set_value();
+    go.wait();
+    rec->record(2, EventKind::TaskComplete, 0, 2);
+  });
+  first_recorded.get_future().wait();
+  rec.reset();
+  rec.emplace(64);
+  EXPECT_EQ(&*rec, first);
+  rebuilt.set_value();
+  writer.join();
+
+  const std::vector<trace::Event> tail = rec->tail();
+  ASSERT_EQ(tail.size(), 1u);
+  EXPECT_EQ(tail[0].t_ns, 2);
+  EXPECT_EQ(tail[0].kind, EventKind::TaskComplete);
+  EXPECT_EQ(tail[0].pid, 2);
+  EXPECT_EQ(rec->recorded(), 1u);
+  EXPECT_EQ(rec->threads_attached(), 1u);
 }
 
 // TSan stress: writers hammer their rings while a reader snapshots

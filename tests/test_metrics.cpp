@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "native/offload_pool.hpp"
-#include "trace/trace.hpp"
 
 namespace cbe::trace {
 namespace {
@@ -181,44 +180,6 @@ TEST(MetricsRegistry, ThreadSafeUnderNativePool) {
   }
   EXPECT_EQ(per_task, static_cast<std::uint64_t>(kTasks));
 }
-
-#if CBE_TRACE_ENABLED
-TEST(OffloadPoolTrace, WorkersRecordDispatchCompletePairs) {
-  ConcurrentTraceSink sink;
-  MetricsRegistry reg;
-  native::OffloadPool pool(3);
-  pool.set_trace(&sink);
-  pool.set_metrics(&reg);
-  constexpr int kTasks = 40;
-  std::vector<std::future<void>> futs;
-  futs.reserve(kTasks);
-  for (int t = 0; t < kTasks; ++t) {
-    futs.push_back(pool.offload([] {}));
-  }
-  for (auto& f : futs) f.get();
-  pool.set_trace(nullptr);  // writers quiescent; safe to drain
-
-  const std::vector<Event> events = sink.drain();
-  std::uint64_t dispatch = 0;
-  std::uint64_t complete = 0;
-  for (const Event& e : events) {
-    if (e.kind == EventKind::TaskDispatch) ++dispatch;
-    if (e.kind == EventKind::TaskComplete) ++complete;
-    EXPECT_GE(e.spe, 0);
-    EXPECT_LT(e.spe, 3);
-  }
-  EXPECT_EQ(dispatch, static_cast<std::uint64_t>(kTasks));
-  EXPECT_EQ(complete, static_cast<std::uint64_t>(kTasks));
-  // drain() sorts by timestamp.
-  for (std::size_t i = 1; i < events.size(); ++i) {
-    EXPECT_LE(events[i - 1].t_ns, events[i].t_ns);
-  }
-  EXPECT_GE(sink.threads_attached(), 1u);
-  EXPECT_LE(sink.threads_attached(), 3u);
-  EXPECT_EQ(reg.histogram("native.task_us").count(),
-            static_cast<std::uint64_t>(kTasks));
-}
-#endif  // CBE_TRACE_ENABLED
 
 }  // namespace
 }  // namespace cbe::trace

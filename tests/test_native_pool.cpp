@@ -5,11 +5,16 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <memory>
 #include <numeric>
 #include <stdexcept>
 #include <thread>
 #include <vector>
+
+#include "trace/metrics.hpp"
+#include "trace/recorder.hpp"
+#include "trace/trace.hpp"
 
 namespace cbe::native {
 namespace {
@@ -285,6 +290,53 @@ TEST(OffloadPool, ManySmallTasksStress) {
   for (auto& f : futs) f.get();
   EXPECT_EQ(count.load(), 2000);
 }
+
+#if CBE_TRACE_ENABLED
+// Workers record straight into a shared FlightRecorder: one dispatch and one
+// complete per task, on worker spe ids, each tagged with the span that was
+// ambient at submission (the pool re-installs it on the worker).
+TEST(OffloadPoolTrace, WorkersRecordDispatchCompletePairs) {
+  trace::FlightRecorder rec;
+  trace::MetricsRegistry reg;
+  OffloadPool pool(3);
+  pool.set_trace(&rec);
+  pool.set_metrics(&reg);
+  constexpr int kTasks = 40;
+  const std::uint64_t span = trace::make_span(7, 1, 0, 3);
+  std::vector<std::future<void>> futs;
+  futs.reserve(kTasks);
+  {
+    trace::ScopedSpan submitter(span);
+    for (int t = 0; t < kTasks; ++t) {
+      futs.push_back(pool.offload([] {}));
+    }
+  }
+  for (auto& f : futs) f.get();
+  pool.set_trace(nullptr);  // writers quiescent; the tail is exact
+
+  const std::vector<trace::Event> events = rec.tail();
+  std::uint64_t dispatch = 0;
+  std::uint64_t complete = 0;
+  for (const trace::Event& e : events) {
+    if (e.kind == trace::EventKind::TaskDispatch) ++dispatch;
+    if (e.kind == trace::EventKind::TaskComplete) ++complete;
+    EXPECT_GE(e.spe, 0);
+    EXPECT_LT(e.spe, 3);
+    EXPECT_EQ(e.span, span);
+  }
+  EXPECT_EQ(dispatch, static_cast<std::uint64_t>(kTasks));
+  EXPECT_EQ(complete, static_cast<std::uint64_t>(kTasks));
+  EXPECT_EQ(rec.overwritten(), 0u);
+  // tail() sorts by timestamp.
+  for (std::size_t i = 1; i < events.size(); ++i) {
+    EXPECT_LE(events[i - 1].t_ns, events[i].t_ns);
+  }
+  EXPECT_GE(rec.threads_attached(), 1u);
+  EXPECT_LE(rec.threads_attached(), 3u);
+  EXPECT_EQ(reg.histogram("native.task_us").count(),
+            static_cast<std::uint64_t>(kTasks));
+}
+#endif  // CBE_TRACE_ENABLED
 
 TEST(Governor, RecommendsSharingWhenStreamsAreScarce) {
   AdaptiveGovernor gov(8);
