@@ -1,7 +1,8 @@
 // Checkpoint overhead: how expensive is a crash-consistent snapshot
 // relative to the replicate work it protects?  Runs the real bootstrap job
-// once to build up progressively larger RunStates, then measures serialize
-// / atomic-write / parse / decode cost and bytes at each size.
+// once to build up progressively larger RunStates, then measures encode /
+// atomic-write / validate (ImageReader) / full-decode cost and bytes at each
+// size.
 //
 //   build/bench/bench_ckpt [--bootstraps=N] [--taxa=N] [--sites=N]
 //       [--seed=S] [--reps=N] [--path=F]
@@ -66,16 +67,15 @@ int main(int argc, char** argv) {
   for (int k : {0, 1, job.bootstraps / 2, job.bootstraps}) {
     ckpt::RunState st = full;
     st.done.assign(full.done.begin(), full.done.begin() + k);
-    const std::vector<std::uint8_t> bytes = ckpt::to_image(st).serialize();
-    const double ser_us =
-        time_us([&] { (void)ckpt::to_image(st).serialize(); }, reps);
+    const std::vector<std::uint8_t> bytes = ckpt::encode(st);
+    const double ser_us = time_us([&] { (void)ckpt::encode(st); }, reps);
     const double write_us =
         time_us([&] { ckpt::write_file_atomic(path, bytes); }, reps);
+    // parse: the reader's validation pass (header, every frame's bounds and
+    // CRC); decode: validation plus decoding every frame into a RunState.
     const double parse_us =
-        time_us([&] { (void)ckpt::CheckpointImage::parse(bytes); }, reps);
-    const double dec_us = time_us(
-        [&] { (void)ckpt::from_image(ckpt::CheckpointImage::parse(bytes)); },
-        reps);
+        time_us([&] { (void)ckpt::ImageReader(bytes); }, reps);
+    const double dec_us = time_us([&] { (void)ckpt::decode(bytes); }, reps);
     const std::string at = std::to_string(k);
     report.add_sample("serialize/" + at, ser_us * 1e-6);
     report.add_sample("atomic_write/" + at, write_us * 1e-6);

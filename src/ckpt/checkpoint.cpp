@@ -15,8 +15,8 @@ constexpr char kFaultTag[] = "FALT";
 constexpr std::uint32_t kMaxReplicates = 1u << 20;
 constexpr std::uint32_t kMaxTaxa = 1u << 20;
 
-std::vector<std::uint8_t> encode_job(const BootstrapJob& j) {
-  PayloadWriter w;
+void encode_job(ImageWriter& w, const BootstrapJob& j) {
+  w.begin(kJobTag);
   w.i32(j.taxa);
   w.i32(j.sites);
   w.u64(j.alignment_seed);
@@ -31,11 +31,10 @@ std::vector<std::uint8_t> encode_job(const BootstrapJob& j) {
   w.f64(j.dma_bitflip_rate);
   w.f64(j.result_corrupt_rate);
   w.f64(j.verify_fraction);
-  return w.take();
+  w.end();
 }
 
-BootstrapJob decode_job(const Section& s) {
-  PayloadReader r(s.payload, s.tag);
+BootstrapJob decode_job(PayloadReader r) {
   BootstrapJob j;
   j.taxa = r.i32();
   j.sites = r.i32();
@@ -66,16 +65,15 @@ BootstrapJob decode_job(const Section& s) {
   return j;
 }
 
-std::vector<std::uint8_t> encode_rng(const util::RngState& st) {
-  PayloadWriter w;
+void encode_rng(ImageWriter& w, const util::RngState& st) {
+  w.begin(kRngTag);
   for (std::uint64_t word : st.s) w.u64(word);
   w.u64(st.cached_normal_bits);
   w.u8(st.has_cached_normal ? 1 : 0);
-  return w.take();
+  w.end();
 }
 
-util::RngState decode_rng(const Section& s) {
-  PayloadReader r(s.payload, s.tag);
+util::RngState decode_rng(PayloadReader r) {
   util::RngState st;
   for (auto& word : st.s) word = r.u64();
   st.cached_normal_bits = r.u64();
@@ -86,7 +84,7 @@ util::RngState decode_rng(const Section& s) {
   return st;
 }
 
-void encode_tree(PayloadWriter& w, const phylo::Tree& tree) {
+void encode_tree(ImageWriter& w, const phylo::Tree& tree) {
   const phylo::Tree::Flat flat = tree.to_flat();
   w.i32(flat.n_taxa);
   w.u32(static_cast<std::uint32_t>(flat.edges.size()));
@@ -138,19 +136,18 @@ phylo::Tree decode_tree(PayloadReader& r) {
   }
 }
 
-std::vector<std::uint8_t> encode_progress(const std::vector<Replicate>& done) {
-  PayloadWriter w;
+void encode_progress(ImageWriter& w, const std::vector<Replicate>& done) {
+  w.begin(kProgTag);
   w.u32(static_cast<std::uint32_t>(done.size()));
   for (const Replicate& rep : done) {
     w.f64(rep.loglik);
     encode_tree(w, rep.tree);
   }
-  return w.take();
+  w.end();
 }
 
-std::vector<Replicate> decode_progress(const Section& s,
+std::vector<Replicate> decode_progress(PayloadReader r,
                                        const BootstrapJob& job) {
-  PayloadReader r(s.payload, s.tag);
   const std::uint32_t count = r.u32();
   if (count > kMaxReplicates) r.fail("replicate count out of range");
   if (count > static_cast<std::uint32_t>(job.bootstraps)) {
@@ -171,8 +168,8 @@ std::vector<Replicate> decode_progress(const Section& s,
   return done;
 }
 
-std::vector<std::uint8_t> encode_sched(const SchedCounters& c) {
-  PayloadWriter w;
+void encode_sched(ImageWriter& w, const SchedCounters& c) {
+  w.begin(kSchedTag);
   w.u64(c.kernels);
   w.u64(c.offloads);
   w.u64(c.loop_splits);
@@ -182,11 +179,10 @@ std::vector<std::uint8_t> encode_sched(const SchedCounters& c) {
   w.f64(c.dma_bytes);
   w.f64(c.sim_seconds);
   w.f64(c.loop_degree_sum);
-  return w.take();
+  w.end();
 }
 
-SchedCounters decode_sched(const Section& s) {
-  PayloadReader r(s.payload, s.tag);
+SchedCounters decode_sched(PayloadReader r) {
   SchedCounters c;
   c.kernels = r.u64();
   c.offloads = r.u64();
@@ -201,15 +197,14 @@ SchedCounters decode_sched(const Section& s) {
   return c;
 }
 
-std::vector<std::uint8_t> encode_fault(const RunState& st) {
-  PayloadWriter w;
+void encode_fault(ImageWriter& w, const RunState& st) {
+  w.begin(kFaultTag);
   w.u64(st.job.fault_seed);
   w.i64(st.crash_position);
-  return w.take();
+  w.end();
 }
 
-std::int64_t decode_fault(const Section& s, const BootstrapJob& job) {
-  PayloadReader r(s.payload, s.tag);
+std::int64_t decode_fault(PayloadReader r, const BootstrapJob& job) {
   const std::uint64_t fault_seed = r.u64();
   const std::int64_t position = r.i64();
   r.expect_end();
@@ -229,38 +224,37 @@ RunState make_fresh(const BootstrapJob& job) {
   return st;
 }
 
-CheckpointImage to_image(const RunState& st) {
-  CheckpointImage image;
-  image.seed = st.job.seed;
-  image.add(kJobTag, encode_job(st.job));
-  image.add(kRngTag, encode_rng(st.master));
-  image.add(kProgTag, encode_progress(st.done));
-  image.add(kSchedTag, encode_sched(st.sched));
-  image.add(kFaultTag, encode_fault(st));
-  return image;
+std::vector<std::uint8_t> encode(const RunState& st) {
+  std::vector<std::uint8_t> out;
+  ImageWriter w(out, st.job.seed, 5);
+  encode_job(w, st.job);
+  encode_rng(w, st.master);
+  encode_progress(w, st.done);
+  encode_sched(w, st.sched);
+  encode_fault(w, st);
+  return out;
 }
 
-RunState from_image(const CheckpointImage& image) {
+RunState decode(const std::vector<std::uint8_t>& bytes) {
+  ImageReader image(bytes);
   RunState st;
-  st.job = decode_job(image.require(kJobTag));
-  if (image.seed != st.job.seed) {
+  st.job = decode_job(image.next(kJobTag));
+  if (image.seed() != st.job.seed) {
     throw CkptError(ErrorKind::Malformed,
                     "header seed disagrees with the job section");
   }
-  st.master = decode_rng(image.require(kRngTag));
-  st.done = decode_progress(image.require(kProgTag), st.job);
-  st.sched = decode_sched(image.require(kSchedTag));
-  st.crash_position = decode_fault(image.require(kFaultTag), st.job);
+  st.master = decode_rng(image.next(kRngTag));
+  st.done = decode_progress(image.next(kProgTag), st.job);
+  st.sched = decode_sched(image.next(kSchedTag));
+  st.crash_position = decode_fault(image.next(kFaultTag), st.job);
   return st;
 }
 
 int save(const std::string& path, const RunState& st,
          const IoRetryPolicy& retry) {
-  return write_file_atomic_retry(path, to_image(st).serialize(), retry);
+  return write_file_atomic_retry(path, encode(st), retry);
 }
 
-RunState load(const std::string& path) {
-  return from_image(CheckpointImage::parse(read_file(path)));
-}
+RunState load(const std::string& path) { return decode(read_file(path)); }
 
 }  // namespace cbe::ckpt

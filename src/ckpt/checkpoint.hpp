@@ -89,8 +89,11 @@ int save(const std::string& path, const RunState& st,
 /// distinct kind/section for every corruption mode.
 RunState load(const std::string& path);
 
-// Image-level hooks shared with tests (corrupt-one-section testing).
-CheckpointImage to_image(const RunState& st);
-RunState from_image(const CheckpointImage& image);
+/// The image save() writes: one frame each for the job, the master RNG, the
+/// completed replicates, the scheduler counters and the crash clock.
+std::vector<std::uint8_t> encode(const RunState& st);
+/// Validates and decodes an image; throws CkptError with a distinct
+/// kind/section for every corruption mode.  load() is decode(read_file()).
+RunState decode(const std::vector<std::uint8_t>& bytes);
 
 }  // namespace cbe::ckpt

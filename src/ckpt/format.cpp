@@ -24,7 +24,7 @@ namespace {
 constexpr std::uint64_t kMagic = 0x3154504b43454243ull;
 constexpr std::size_t kHeaderSize = 8 + 4 + 8 + 8 + 4 + 4;
 constexpr std::size_t kTagSize = 4;
-// An image buffer starts with room for a small image (a job snapshot is 157
+// An image buffer starts with room for a small image (a job snapshot is 141
 // bytes), so a job's first snapshot allocates once instead of regrowing.
 constexpr std::size_t kInitialCapacity = 256;
 
@@ -50,6 +50,10 @@ std::uint64_t get_u64(const std::uint8_t* p) {
   std::uint64_t v = 0;
   for (int i = 0; i < 8; ++i) v |= static_cast<std::uint64_t>(p[i]) << (8 * i);
   return v;
+}
+
+std::string tag_at(const std::uint8_t* p) {
+  return std::string(reinterpret_cast<const char*>(p), kTagSize);
 }
 
 }  // namespace
@@ -117,10 +121,6 @@ void ImageWriter::u64(std::uint64_t v) { put_u64(out_, v); }
 
 void ImageWriter::f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
 
-void ImageWriter::bytes(const std::uint8_t* p, std::size_t n) {
-  out_.insert(out_.end(), p, p + n);
-}
-
 void ImageWriter::end() {
   const std::uint64_t len = out_.size() - frame_ - kTagSize - 8;
   for (int i = 0; i < 8; ++i) {
@@ -130,33 +130,19 @@ void ImageWriter::end() {
   put_u32(out_, util::crc32(out_.data() + frame_, out_.size() - frame_));
 }
 
-void PayloadWriter::u8(std::uint8_t v) { bytes_.push_back(v); }
-void PayloadWriter::u32(std::uint32_t v) { put_u32(bytes_, v); }
-void PayloadWriter::u64(std::uint64_t v) { put_u64(bytes_, v); }
-
-void PayloadWriter::f64(double v) {
-  std::uint64_t bits;
-  static_assert(sizeof(bits) == sizeof(v));
-  std::memcpy(&bits, &v, sizeof(bits));
-  u64(bits);
+PayloadReader::PayloadReader(const std::uint8_t* p, std::size_t len,
+                             std::string_view tag)
+    : p_(p), len_(len) {
+  std::memcpy(tag_, tag.data(), sizeof tag_);
 }
-
-void PayloadWriter::str(const std::string& s) {
-  u32(static_cast<std::uint32_t>(s.size()));
-  bytes_.insert(bytes_.end(), s.begin(), s.end());
-}
-
-PayloadReader::PayloadReader(const std::vector<std::uint8_t>& bytes,
-                             std::string section)
-    : p_(bytes.data()), len_(bytes.size()), section_(std::move(section)) {}
 
 void PayloadReader::need(std::size_t n) const {
-  if (pos_ + n > len_) {
+  if (n > len_ - pos_) {
     throw CkptError(ErrorKind::Truncated,
-                    "checkpoint section '" + section_ +
+                    "checkpoint section '" + section() +
                         "' ends mid-field (payload shorter than its "
                         "contents claim)",
-                    section_);
+                    section());
   }
 }
 
@@ -179,133 +165,99 @@ std::uint64_t PayloadReader::u64() {
   return v;
 }
 
-double PayloadReader::f64() {
-  const std::uint64_t bits = u64();
-  double v;
-  std::memcpy(&v, &bits, sizeof(v));
-  return v;
-}
-
-std::string PayloadReader::str() {
-  const std::uint32_t n = u32();
-  need(n);
-  std::string s(reinterpret_cast<const char*>(p_ + pos_), n);
-  pos_ += n;
-  return s;
-}
+double PayloadReader::f64() { return std::bit_cast<double>(u64()); }
 
 void PayloadReader::expect_end() const {
   if (pos_ != len_) {
     throw CkptError(ErrorKind::Malformed,
-                    "checkpoint section '" + section_ + "' has " +
+                    "checkpoint section '" + section() + "' has " +
                         std::to_string(len_ - pos_) + " trailing bytes",
-                    section_);
+                    section());
   }
 }
 
 void PayloadReader::fail(const std::string& why) const {
   throw CkptError(ErrorKind::Malformed,
-                  "checkpoint section '" + section_ + "': " + why, section_);
+                  "checkpoint section '" + section() + "': " + why,
+                  section());
 }
 
-void CheckpointImage::add(const std::string& tag,
-                          std::vector<std::uint8_t> payload) {
-  if (tag.size() != kTagSize) {
-    throw CkptError(ErrorKind::Malformed,
-                    "section tag must be 4 characters: '" + tag + "'");
-  }
-  sections_.push_back(Section{tag, std::move(payload)});
-}
-
-const Section& CheckpointImage::require(const std::string& tag) const {
-  for (const Section& s : sections_) {
-    if (s.tag == tag) return s;
-  }
-  throw CkptError(ErrorKind::MissingSection,
-                  "checkpoint is missing required section '" + tag + "'",
-                  tag);
-}
-
-std::vector<std::uint8_t> CheckpointImage::serialize() const {
-  std::vector<std::uint8_t> out;
-  ImageWriter w(out, seed, static_cast<std::uint32_t>(sections_.size()));
-  for (const Section& s : sections_) {
-    w.begin(s.tag);
-    w.bytes(s.payload.data(), s.payload.size());
-    w.end();
-  }
-  return out;
-}
-
-CheckpointImage CheckpointImage::parse(
-    const std::vector<std::uint8_t>& bytes) {
-  if (bytes.size() < kHeaderSize) {
+ImageReader::ImageReader(const std::vector<std::uint8_t>& bytes)
+    : p_(bytes.data()), pos_(kHeaderSize) {
+  const std::size_t size = bytes.size();
+  if (size < kHeaderSize) {
     throw CkptError(ErrorKind::Truncated,
                     "checkpoint file is shorter than the header (" +
-                        std::to_string(bytes.size()) + " bytes)");
+                        std::to_string(size) + " bytes)");
   }
-  const std::uint8_t* p = bytes.data();
-  if (get_u64(p) != kMagic) {
+  if (get_u64(p_) != kMagic) {
     throw CkptError(ErrorKind::BadMagic,
                     "not a checkpoint file (magic mismatch)");
   }
-  const std::uint32_t version = get_u32(p + 8);
+  const std::uint32_t version = get_u32(p_ + 8);
   if (version != kFormatVersion) {
     throw CkptError(ErrorKind::BadVersion,
                     "checkpoint format version " + std::to_string(version) +
                         " is not supported (this build reads version " +
                         std::to_string(kFormatVersion) + ")");
   }
-  const std::uint64_t cfg_hash = get_u64(p + 12);
-  if (cfg_hash != build_config_hash()) {
+  if (get_u64(p_ + 12) != build_config_hash()) {
     throw CkptError(ErrorKind::BadConfigHash,
                     "checkpoint was written by an incompatible build "
                     "configuration; re-run from a cold start");
   }
-  const std::uint32_t declared_crc = get_u32(p + kHeaderSize - 4);
-  if (util::crc32(p, kHeaderSize - 4) != declared_crc) {
+  if (util::crc32(p_, kHeaderSize - 4) != get_u32(p_ + kHeaderSize - 4)) {
     throw CkptError(ErrorKind::CrcMismatch,
                     "checkpoint header CRC mismatch (corrupted file)",
                     "HEAD");
   }
+  seed_ = get_u64(p_ + 20);
+  left_ = get_u32(p_ + 28);
 
-  CheckpointImage image;
-  image.seed = get_u64(p + 20);
-  const std::uint32_t count = get_u32(p + 28);
   std::size_t pos = kHeaderSize;
-  for (std::uint32_t i = 0; i < count; ++i) {
-    if (pos + kTagSize + 8 > bytes.size()) {
+  for (std::uint32_t i = 0; i < left_; ++i) {
+    if (pos + kTagSize + 8 > size) {
       throw CkptError(ErrorKind::Truncated,
                       "checkpoint file ends inside section " +
                           std::to_string(i) + "'s frame");
     }
-    std::string tag(reinterpret_cast<const char*>(p + pos), kTagSize);
-    const std::uint64_t len = get_u64(p + pos + kTagSize);
-    const std::size_t frame = kTagSize + 8 + len + 4;
-    if (len > bytes.size() || pos + frame > bytes.size()) {
+    const std::uint64_t len = get_u64(p_ + pos + kTagSize);
+    if (len > size || pos + kTagSize + 8 + len + 4 > size) {
+      const std::string tag = tag_at(p_ + pos);
       throw CkptError(ErrorKind::Truncated,
                       "checkpoint file ends inside section '" + tag + "'",
                       tag);
     }
-    const std::uint32_t want = get_u32(p + pos + kTagSize + 8 + len);
-    if (util::crc32(p + pos, kTagSize + 8 + len) != want) {
+    if (util::crc32(p_ + pos, kTagSize + 8 + len) !=
+        get_u32(p_ + pos + kTagSize + 8 + len)) {
+      const std::string tag = tag_at(p_ + pos);
       throw CkptError(ErrorKind::CrcMismatch,
                       "checkpoint section '" + tag +
                           "' CRC mismatch (corrupted file)",
                       tag);
     }
-    image.sections_.push_back(Section{
-        tag, std::vector<std::uint8_t>(p + pos + kTagSize + 8,
-                                       p + pos + kTagSize + 8 + len)});
-    pos += frame;
+    pos += kTagSize + 8 + len + 4;
   }
-  if (pos != bytes.size()) {
+  if (pos != size) {
     throw CkptError(ErrorKind::Malformed,
-                    "checkpoint file has " +
-                        std::to_string(bytes.size() - pos) +
+                    "checkpoint file has " + std::to_string(size - pos) +
                         " trailing bytes after the last section");
   }
-  return image;
+}
+
+PayloadReader ImageReader::next(std::string_view tag) {
+  if (left_ == 0 || tag.size() != kTagSize ||
+      std::memcmp(p_ + pos_, tag.data(), kTagSize) != 0) {
+    throw CkptError(ErrorKind::MissingSection,
+                    "checkpoint is missing required section '" +
+                        std::string(tag) + "'",
+                    std::string(tag));
+  }
+  const auto len = static_cast<std::size_t>(get_u64(p_ + pos_ + kTagSize));
+  const PayloadReader r(p_ + pos_ + kTagSize + 8, len, tag);
+  pos_ += kTagSize + 8 + len + 4;
+  --left_;
+  return r;
 }
 
 std::vector<std::uint8_t> read_file(const std::string& path) {

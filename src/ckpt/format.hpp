@@ -27,7 +27,9 @@
 
 namespace cbe::ckpt {
 
-inline constexpr std::uint32_t kFormatVersion = 1;
+/// Version 2 made a job snapshot (src/jobsvc) one frame that holds the job's
+/// identity and its state under one CRC; version 1 split them over two.
+inline constexpr std::uint32_t kFormatVersion = 2;
 
 /// What went wrong while reading a checkpoint; each kind maps to a distinct
 /// actionable diagnostic (and a distinct test in test_ckpt).
@@ -71,8 +73,8 @@ std::uint64_t build_config_hash() noexcept;
 /// frame per begin()/end() pair, written straight into the caller's buffer.
 /// The buffer is cleared but keeps its capacity, so a caller that reuses one
 /// buffer (a job record's snapshot) makes no heap request once it has grown
-/// to size.  This is the only framing implementation;
-/// CheckpointImage::serialize() runs its sections through it.
+/// to size.  With ImageReader it is the whole codec: every image is written
+/// by this class and read back by that one.
 class ImageWriter {
  public:
   /// Writes the header; the caller then writes exactly `sections` frames.
@@ -85,9 +87,9 @@ class ImageWriter {
   void u32(std::uint32_t v);
   void u64(std::uint64_t v);
   void i32(std::int32_t v) { u32(static_cast<std::uint32_t>(v)); }
+  void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
   /// IEEE-754 bit pattern; restore is bit-exact.
   void f64(double v);
-  void bytes(const std::uint8_t* p, std::size_t n);
   /// Closes the frame: patches its length and appends its CRC.
   void end();
 
@@ -96,37 +98,18 @@ class ImageWriter {
   std::size_t frame_ = 0;  ///< offset of the open frame's tag
 };
 
-/// Append-only little-endian encoder for one section payload.
-class PayloadWriter {
- public:
-  void u8(std::uint8_t v);
-  void u32(std::uint32_t v);
-  void u64(std::uint64_t v);
-  void i32(std::int32_t v) { u32(static_cast<std::uint32_t>(v)); }
-  void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
-  /// IEEE-754 bit pattern; restore is bit-exact.
-  void f64(double v);
-  void str(const std::string& s);
-
-  std::vector<std::uint8_t> take() noexcept { return std::move(bytes_); }
-
- private:
-  std::vector<std::uint8_t> bytes_;
-};
-
-/// Matching decoder; throws CkptError{Truncated|Malformed, section} when the
-/// payload runs out or decodes nonsense.
+/// Decoder for one frame's payload, as ImageReader::next() yields it: a view
+/// into the caller's bytes, read little-endian in the order ImageWriter
+/// wrote it.  Throws CkptError{Truncated|Malformed, tag} when the payload
+/// runs out or decodes nonsense.
 class PayloadReader {
  public:
-  PayloadReader(const std::vector<std::uint8_t>& bytes, std::string section);
-
   std::uint8_t u8();
   std::uint32_t u32();
   std::uint64_t u64();
   std::int32_t i32() { return static_cast<std::int32_t>(u32()); }
   std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
   double f64();
-  std::string str();
 
   /// Rejects trailing bytes (a length that disagrees with the content is
   /// corruption, not slack).
@@ -134,34 +117,41 @@ class PayloadReader {
   [[noreturn]] void fail(const std::string& why) const;
 
  private:
+  friend class ImageReader;
+  /// `tag` is exactly 4 characters.
+  PayloadReader(const std::uint8_t* p, std::size_t len, std::string_view tag);
   void need(std::size_t n) const;
+  std::string section() const { return std::string(tag_, sizeof tag_); }
   const std::uint8_t* p_;
   std::size_t len_;
   std::size_t pos_ = 0;
-  std::string section_;
+  char tag_[4];
 };
 
-struct Section {
-  std::string tag;  ///< exactly 4 characters
-  std::vector<std::uint8_t> payload;
-};
-
-/// In-memory checkpoint image: the header fields plus the section list.
-class CheckpointImage {
+/// Validating decoder for a whole image, reading the caller's bytes in
+/// place.  The constructor checks magic, version, build-config hash and
+/// header CRC, then every frame's bounds and CRC, then that no bytes trail
+/// the last frame, so any corruption is caught before a payload byte is
+/// interpreted.  next() then yields the frames in the order they were
+/// written.  It copies nothing, so the bytes must outlive the reader and
+/// every PayloadReader it returns.
+class ImageReader {
  public:
-  std::uint64_t seed = 0;
+  explicit ImageReader(const std::vector<std::uint8_t>& bytes);
+  ImageReader(std::vector<std::uint8_t>&&) = delete;
 
-  void add(const std::string& tag, std::vector<std::uint8_t> payload);
-  /// Throws CkptError{MissingSection} when absent.
-  const Section& require(const std::string& tag) const;
+  /// The header's seed field.
+  std::uint64_t seed() const noexcept { return seed_; }
 
-  const std::vector<Section>& sections() const noexcept { return sections_; }
-
-  std::vector<std::uint8_t> serialize() const;
-  static CheckpointImage parse(const std::vector<std::uint8_t>& bytes);
+  /// The next frame, which must be tagged `tag`; throws
+  /// CkptError{MissingSection, tag} when it is not or no frame is left.
+  PayloadReader next(std::string_view tag);
 
  private:
-  std::vector<Section> sections_;
+  const std::uint8_t* p_;
+  std::size_t pos_;      ///< offset of the next frame
+  std::uint32_t left_;   ///< frames not yet yielded
+  std::uint64_t seed_;
 };
 
 /// Reads a whole file; throws CkptError{Io} on failure.

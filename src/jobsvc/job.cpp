@@ -11,8 +11,9 @@ namespace {
 constexpr std::uint64_t kTenantSalt = 0x54454e414e544944ull;  // "TENANTID"
 constexpr std::uint64_t kJobSalt = 0x4a4f4253454e4f4eull;     // "JOBSENON"
 
-constexpr char kSpecTag[] = "JSPC";
-constexpr char kStateTag[] = "JSTA";
+// A snapshot is one frame: the job's identity, then its state, under one
+// CRC, so no splice of two snapshots can pair one job with another's state.
+constexpr char kSnapshotTag[] = "JSNP";
 
 constexpr std::uint32_t kMaxSteps = 1u << 24;
 
@@ -58,15 +59,13 @@ JobResult run_job_standalone(const JobSpec& spec,
 
 void snapshot_job(const JobSpec& spec, const JobState& st,
                   std::vector<std::uint8_t>& out) {
-  ckpt::ImageWriter w(out, spec.id, 2);
-  w.begin(kSpecTag);
+  ckpt::ImageWriter w(out, spec.id, 1);
+  w.begin(kSnapshotTag);
   w.u64(spec.id);
   w.u32(spec.tenant);
   w.i32(spec.priority);
   w.i32(spec.steps);
   w.f64(spec.step_cost_s);
-  w.end();
-  w.begin(kStateTag);
   for (std::uint64_t word : st.rng.s) w.u64(word);
   w.u64(st.rng.cached_normal_bits);
   w.u8(st.rng.has_cached_normal ? 1 : 0);
@@ -78,26 +77,13 @@ void snapshot_job(const JobSpec& spec, const JobState& st,
 
 JobState restore_job(const JobSpec& spec,
                      const std::vector<std::uint8_t>& bytes) {
-  const ckpt::CheckpointImage image = ckpt::CheckpointImage::parse(bytes);
-  {
-    const ckpt::Section& s = image.require(kSpecTag);
-    ckpt::PayloadReader r(s.payload, s.tag);
-    const std::uint64_t id = r.u64();
-    const std::uint32_t tenant = r.u32();
-    r.i32();  // priority: informational, may be retuned between runs
-    const std::int32_t steps = r.i32();
-    r.f64();  // step cost: informational
-    r.expect_end();
-    if (id != spec.id || tenant != spec.tenant) {
-      r.fail("snapshot belongs to a different job (id " + std::to_string(id) +
-             ", tenant " + std::to_string(tenant) + ")");
-    }
-    if (steps != spec.steps) {
-      r.fail("snapshot step count disagrees with the job spec");
-    }
-  }
-  const ckpt::Section& s = image.require(kStateTag);
-  ckpt::PayloadReader r(s.payload, s.tag);
+  ckpt::ImageReader image(bytes);
+  ckpt::PayloadReader r = image.next(kSnapshotTag);
+  const std::uint64_t id = r.u64();
+  const std::uint32_t tenant = r.u32();
+  r.i32();  // priority: informational, may be retuned between runs
+  const std::int32_t steps = r.i32();
+  r.f64();  // step cost: informational
   JobState st;
   for (auto& word : st.rng.s) word = r.u64();
   st.rng.cached_normal_bits = r.u64();
@@ -106,6 +92,14 @@ JobState restore_job(const JobSpec& spec,
   st.value = r.f64();
   st.steps_done = r.i32();
   r.expect_end();
+  if (id != spec.id || tenant != spec.tenant || image.seed() != spec.id) {
+    r.fail("snapshot belongs to a different job (id " + std::to_string(id) +
+           ", tenant " + std::to_string(tenant) + ", header " +
+           std::to_string(image.seed()) + ")");
+  }
+  if (steps != spec.steps) {
+    r.fail("snapshot step count disagrees with the job spec");
+  }
   if (cached > 1) r.fail("boolean flag out of range");
   st.rng.has_cached_normal = cached == 1;
   if (st.steps_done < 0 || st.steps_done > spec.steps ||

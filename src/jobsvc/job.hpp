@@ -75,14 +75,15 @@ JobResult result_of(const JobState& st) noexcept;
 /// Bit-identical to the service's result for the same (service seed, spec).
 JobResult run_job_standalone(const JobSpec& spec, std::uint64_t service_seed);
 
-/// Serializes (spec identity, state) into a CRC-framed checkpoint image in
+/// Serializes (spec identity, state) as one CRC-framed checkpoint frame in
 /// `out`, replacing its contents.  The buffer keeps its capacity, so
 /// re-snapshotting into the same buffer makes no heap request.
 void snapshot_job(const JobSpec& spec, const JobState& st,
                   std::vector<std::uint8_t>& out);
 
-/// Parses and validates a snapshot for `spec`; throws ckpt::CkptError on any
-/// corruption or a snapshot that belongs to a different job.
+/// Validates and decodes a snapshot for `spec` in place, with no heap
+/// request; throws ckpt::CkptError on any corruption or a snapshot that
+/// belongs to a different job.
 JobState restore_job(const JobSpec& spec,
                      const std::vector<std::uint8_t>& bytes);
 

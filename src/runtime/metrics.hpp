@@ -55,6 +55,53 @@ struct RunResult {
   /// equal digests across configurations mean equal results — the basis of
   /// the "never silently wrong" acceptance property.
   std::vector<std::uint32_t> bootstrap_digests;
+
+  /// Aggregates runs made side by side (run_cluster's blades), in the given
+  /// order: every counter adds, mean_spe_utilization is the mean over runs
+  /// and mean_loop_degree is weighted by offloads.
+  /// KNOWN DEFECT (ROADMAP item 3, "run_cluster's mean loop degree is
+  /// biased"): the degree sum starts from the default 1.0 instead of 0.0,
+  /// so the result is (1 + sum of degree * offloads) / offloads, and a merge
+  /// of no runs reports 1.0.  tests/golden/runtime_matrix.txt pins the
+  /// biased value; mend both together.
+  /// makespan_s and the per-bootstrap vectors stay at their defaults: only
+  /// the caller knows how the runs map onto time and onto the workload.
+  static RunResult merge(const std::vector<RunResult>& runs) {
+    RunResult t;
+    for (const RunResult& r : runs) {
+      t.offloads += r.offloads;
+      t.ppe_fallbacks += r.ppe_fallbacks;
+      t.loop_splits += r.loop_splits;
+      t.ctx_switches += r.ctx_switches;
+      t.code_loads += r.code_loads;
+      t.events += r.events;
+      t.mean_spe_utilization += r.mean_spe_utilization;
+      t.mean_loop_degree +=
+          r.mean_loop_degree * static_cast<double>(r.offloads);
+      t.spe_failures += r.spe_failures;
+      t.stragglers += r.stragglers;
+      t.dma_faults += r.dma_faults;
+      t.dma_retries += r.dma_retries;
+      t.timeouts += r.timeouts;
+      t.reoffloads += r.reoffloads;
+      t.loop_reassignments += r.loop_reassignments;
+      t.fault_ppe_fallbacks += r.fault_ppe_fallbacks;
+      t.wasted_cycles += r.wasted_cycles;
+      t.dma_bytes += r.dma_bytes;
+      t.recovered_bootstraps += r.recovered_bootstraps;
+      t.corrupt_injected += r.corrupt_injected;
+      t.corrupt_detected += r.corrupt_detected;
+      t.corrupt_silent += r.corrupt_silent;
+      t.verify_reexecs += r.verify_reexecs;
+      t.integrity_retries += r.integrity_retries;
+      t.quarantined_spes += r.quarantined_spes;
+    }
+    if (!runs.empty()) {
+      t.mean_spe_utilization /= static_cast<double>(runs.size());
+    }
+    if (t.offloads > 0) t.mean_loop_degree /= static_cast<double>(t.offloads);
+    return t;
+  }
 };
 
 }  // namespace cbe::rt

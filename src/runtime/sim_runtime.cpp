@@ -1011,39 +1011,9 @@ RunResult run_cluster(const task::Workload& wl,
     s.orig.push_back(i);
   }
 
-  RunResult total;
-  total.bootstrap_completion_s.assign(wl.bootstraps.size(), 0.0);
-  total.bootstrap_digests.assign(wl.bootstraps.size(), 0u);
-  int runs = 0;
-  auto accumulate = [&total, &runs](const RunResult& r) {
-    ++runs;
-    total.offloads += r.offloads;
-    total.ppe_fallbacks += r.ppe_fallbacks;
-    total.loop_splits += r.loop_splits;
-    total.ctx_switches += r.ctx_switches;
-    total.code_loads += r.code_loads;
-    total.events += r.events;
-    total.mean_spe_utilization += r.mean_spe_utilization;
-    total.mean_loop_degree +=
-        r.mean_loop_degree * static_cast<double>(r.offloads);
-    total.spe_failures += r.spe_failures;
-    total.stragglers += r.stragglers;
-    total.dma_faults += r.dma_faults;
-    total.dma_retries += r.dma_retries;
-    total.timeouts += r.timeouts;
-    total.reoffloads += r.reoffloads;
-    total.loop_reassignments += r.loop_reassignments;
-    total.fault_ppe_fallbacks += r.fault_ppe_fallbacks;
-    total.wasted_cycles += r.wasted_cycles;
-    total.dma_bytes += r.dma_bytes;
-    total.recovered_bootstraps += r.recovered_bootstraps;
-    total.corrupt_injected += r.corrupt_injected;
-    total.corrupt_detected += r.corrupt_detected;
-    total.corrupt_silent += r.corrupt_silent;
-    total.verify_reexecs += r.verify_reexecs;
-    total.integrity_retries += r.integrity_retries;
-    total.quarantined_spes += r.quarantined_spes;
-  };
+  std::vector<RunResult> runs;  // blade order: phase 1, then phase 2
+  std::vector<double> completion(wl.bootstraps.size(), 0.0);
+  std::vector<std::uint32_t> digests(wl.bootstraps.size(), 0u);
 
   // Per-blade seed salting keeps blades' fault draws independent while the
   // cluster as a whole replays bit-identically from one seed.
@@ -1087,15 +1057,14 @@ RunResult run_cluster(const task::Workload& wl,
   for (std::size_t b = 0; b < shards.size(); ++b) {
     if (shards[b].wl.bootstraps.empty()) continue;
     auto policy = make_policy();
-    const RunResult r = run_workload(shards[b].wl, *policy, blade_cfg(b));
-    accumulate(r);
+    const RunResult& r =
+        runs.emplace_back(run_workload(shards[b].wl, *policy, blade_cfg(b)));
     if (!failed[b]) {
       survivors.push_back(b);
       phase1_end = std::max(phase1_end, r.makespan_s);
       for (std::size_t j = 0; j < shards[b].orig.size(); ++j) {
-        total.bootstrap_completion_s[shards[b].orig[j]] =
-            r.bootstrap_completion_s[j];
-        total.bootstrap_digests[shards[b].orig[j]] = r.bootstrap_digests[j];
+        completion[shards[b].orig[j]] = r.bootstrap_completion_s[j];
+        digests[shards[b].orig[j]] = r.bootstrap_digests[j];
       }
       continue;
     }
@@ -1106,15 +1075,15 @@ RunResult run_cluster(const task::Workload& wl,
     for (std::size_t j = 0; j < shards[b].orig.size(); ++j) {
       const double c = r.bootstrap_completion_s[j];
       if (c > 0.0 && c <= t_b) {
-        total.bootstrap_completion_s[shards[b].orig[j]] = c;
-        total.bootstrap_digests[shards[b].orig[j]] = r.bootstrap_digests[j];
+        completion[shards[b].orig[j]] = c;
+        digests[shards[b].orig[j]] = r.bootstrap_digests[j];
       } else {
         leftovers.push_back(shards[b].orig[j]);
       }
     }
   }
 
-  total.makespan_s = phase1_end;
+  double makespan = phase1_end;
   if (!leftovers.empty() && !survivors.empty()) {
     std::vector<Shard> extra(survivors.size());
     for (std::size_t k = 0; k < leftovers.size(); ++k) {
@@ -1126,25 +1095,24 @@ RunResult run_cluster(const task::Workload& wl,
     for (std::size_t k = 0; k < extra.size(); ++k) {
       if (extra[k].wl.bootstraps.empty()) continue;
       auto policy = make_policy();
-      const RunResult r =
-          run_workload(extra[k].wl, *policy,
-                       blade_cfg(shards.size() + survivors[k]));
-      accumulate(r);
+      const RunResult& r = runs.emplace_back(run_workload(
+          extra[k].wl, *policy, blade_cfg(shards.size() + survivors[k])));
       phase2 = std::max(phase2, r.makespan_s);
       for (std::size_t j = 0; j < extra[k].orig.size(); ++j) {
-        total.bootstrap_completion_s[extra[k].orig[j]] =
+        completion[extra[k].orig[j]] =
             phase1_end + r.bootstrap_completion_s[j];
-        total.bootstrap_digests[extra[k].orig[j]] = r.bootstrap_digests[j];
+        digests[extra[k].orig[j]] = r.bootstrap_digests[j];
       }
     }
-    total.makespan_s = phase1_end + phase2;
-    total.recovered_bootstraps += leftovers.size();
+    makespan = phase1_end + phase2;
   }
 
-  if (runs > 0) total.mean_spe_utilization /= static_cast<double>(runs);
-  if (total.offloads > 0) {
-    total.mean_loop_degree /= static_cast<double>(total.offloads);
-  }
+  RunResult total = RunResult::merge(runs);
+  total.makespan_s = makespan;
+  // Phase 2 re-ran every leftover: a populated fleet always keeps a survivor.
+  total.recovered_bootstraps += leftovers.size();
+  total.bootstrap_completion_s = std::move(completion);
+  total.bootstrap_digests = std::move(digests);
   return total;
 }
 

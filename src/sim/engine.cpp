@@ -142,12 +142,6 @@ void Engine::compact() noexcept {
   dead_ = 0;  // every dead entry was resident in exactly one region
 }
 
-Time Engine::next_event_time() {
-  const int h = find_head();
-  if (h == 0) return Time::max();
-  return h == 1 ? band_[band_pos_].t : near_.front().t;
-}
-
 Time Engine::run() { return run_until(Time::max()); }
 
 Time Engine::run_until(Time limit) {

@@ -69,11 +69,6 @@ class Engine {
   /// "drain" (this is what run() calls) and leaves now() at the last event.
   Time run_until(Time limit);
 
-  /// Timestamp of the earliest pending live event, or Time::max() when the
-  /// queue is empty.  Skims cancelled entries off the queue head, hence
-  /// non-const.
-  Time next_event_time();
-
   std::uint64_t events_processed() const noexcept { return processed_; }
   std::size_t events_pending() const noexcept { return live_; }
   /// Cancelled entries still resident in the queue.  Invariant (the leak

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <memory>
 #include <mutex>
+#include <thread>
 
 #include "trace/export.hpp"
 #include "util/log.hpp"
@@ -51,9 +52,11 @@ struct FlightRecorder::Ring {
     std::atomic<std::uint64_t> seq{0};
     std::atomic<std::uint64_t> words[kWords];
   };
-  explicit Ring(std::size_t capacity) : slots(capacity) {}
+  Ring(std::size_t capacity, std::thread::id writer)
+      : slots(capacity), writer(writer) {}
   std::vector<Slot> slots;
   std::atomic<std::uint64_t> head{0};
+  const std::thread::id writer;  ///< the thread that attached it
 };
 
 struct FlightRecorder::Impl {
@@ -94,9 +97,19 @@ FlightRecorder::~FlightRecorder() {
 FlightRecorder::Ring* FlightRecorder::ring_for_this_thread() {
   TlsAttach& tls = TlsAttach::self();
   if (tls.owner == id_) return tls.ring;
+  // The cache holds one recorder: a thread that switched away and back
+  // finds the ring it attached before instead of attaching another.  A
+  // thread id is reused only after its thread has ended, so a ring still
+  // has one writer at a time.
+  const std::thread::id self = std::this_thread::get_id();
   std::lock_guard lock(impl_->mu);
-  impl_->rings.push_back(std::make_unique<Ring>(capacity_));
-  tls = TlsAttach{id_, impl_->rings.back().get()};
+  auto it = std::find_if(impl_->rings.begin(), impl_->rings.end(),
+                         [&](const auto& r) { return r->writer == self; });
+  if (it == impl_->rings.end()) {
+    impl_->rings.push_back(std::make_unique<Ring>(capacity_, self));
+    it = impl_->rings.end() - 1;
+  }
+  tls = TlsAttach{id_, it->get()};
   return tls.ring;
 }
 

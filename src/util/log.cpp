@@ -26,7 +26,6 @@ std::chrono::steady_clock::time_point log_epoch() {
 
 }  // namespace
 
-LogLevel log_level() noexcept { return g_level; }
 void set_log_level(LogLevel level) noexcept { g_level = level; }
 
 double log_uptime_ms() noexcept {

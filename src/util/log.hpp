@@ -21,7 +21,6 @@ namespace cbe::util {
 
 enum class LogLevel { Debug = 0, Info = 1, Warn = 2, Error = 3, Off = 4 };
 
-LogLevel log_level() noexcept;
 void set_log_level(LogLevel level) noexcept;
 
 /// Milliseconds since the first log call (monotonic clock), as a double.

@@ -137,6 +137,26 @@ TEST(FlightRecorderTest, ThreadReattachesToNewRecorderAtReusedAddress) {
   EXPECT_EQ(rec->threads_attached(), 1u);
 }
 
+// A thread that alternates between two recorders keeps one ring in each:
+// the per-thread cache holds only the last recorder, so a switch back must
+// find the ring attached before rather than attach another.
+TEST(FlightRecorderTest, AlternatingRecordersKeepOneRingEach) {
+  trace::FlightRecorder a(64);
+  trace::FlightRecorder b(64);
+  for (int i = 0; i < 1000; ++i) {
+    a.record(i, EventKind::TaskDispatch, 0, i);
+    b.record(i, EventKind::TaskComplete, 0, i);
+  }
+  EXPECT_EQ(a.threads_attached(), 1u);
+  EXPECT_EQ(b.threads_attached(), 1u);
+  EXPECT_EQ(a.recorded(), 1000u);
+  EXPECT_EQ(b.recorded(), 1000u);
+  const std::vector<trace::Event> tail = a.tail();
+  ASSERT_EQ(tail.size(), 64u);
+  EXPECT_EQ(tail.front().t_ns, 1000 - 64);
+  EXPECT_EQ(tail.back().t_ns, 999);
+}
+
 // TSan stress: writers hammer their rings while a reader snapshots
 // concurrently.  The memory-model contract (per-slot sequence locks over
 // atomic payload words; tail() acquires heads) must hold race-free, and every

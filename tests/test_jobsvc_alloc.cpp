@@ -1,7 +1,8 @@
 // Allocation gate for the job service's step path.  This binary replaces
 // the global operator new with a counting one.  A checkpoint frames the
-// job's spec and state straight into the job record's snapshot buffer, so a
-// steady-state snapshot makes no heap request at all, and a whole run with
+// job's spec and state straight into the job record's snapshot buffer, and
+// a restore decodes that buffer in place, so neither a steady-state snapshot
+// nor a restore makes a heap request at all, and a whole run with
 // blade kills, stragglers, step faults and verified steps stays under a
 // quarter of an allocation per engine event: it measures about 0.11 (run
 // set-up, one snapshot buffer per job, restores and the service's own
@@ -46,6 +47,24 @@ TEST(JobsvcAlloc, SteadyStateSnapshotAllocatesNothing) {
   }
   EXPECT_EQ(allocs() - before, 0u);
   EXPECT_EQ(restore_job(spec, buf).steps_done, 100);
+}
+
+TEST(JobsvcAlloc, SteadyStateRestoreAllocatesNothing) {
+  JobSpec spec;
+  spec.id = 3;
+  spec.tenant = 1;
+  spec.steps = 200;
+  JobState st = make_initial_state(spec, 2026);
+  for (int i = 0; i < 7; ++i) run_step(st);
+  std::vector<std::uint8_t> buf;
+  snapshot_job(spec, st, buf);
+  JobState back;
+  const std::uint64_t before = allocs();
+  for (int i = 0; i < 100; ++i) back = restore_job(spec, buf);
+  EXPECT_EQ(allocs() - before, 0u);
+  EXPECT_EQ(back.steps_done, 7);
+  EXPECT_TRUE(back.rng == st.rng);
+  EXPECT_EQ(back.digest, st.digest);
 }
 
 // One rate of the open-loop service benchmark's fault mix (2000 jobs, 16

@@ -266,19 +266,23 @@ TEST(PoolStress, NestedParallelForStorm) {
 
 TEST(PoolStress, MixedStorm) {
   // Everything at once: external producers, nested off-loads, retries and
-  // parallel_for sharing the same pool.
+  // parallel_for sharing the same pool.  Each retried task counts its own
+  // attempts and fails only its first, so every task takes the retry path
+  // once and succeeds within its budget under any interleaving.
   OffloadPool pool(4);
   std::atomic<int> ran{0};
-  std::atomic<int> flaky_attempts{0};
+  std::vector<std::atomic<int>> attempts(4 * 50);
   std::vector<std::thread> producers;
   std::vector<std::future<void>> retry_futures;
   std::mutex retry_mu;
   for (int t = 0; t < 4; ++t) {
-    producers.emplace_back([&] {
+    producers.emplace_back([&, t] {
       for (int i = 0; i < 50; ++i) {
+        std::atomic<int>* tries =
+            &attempts[static_cast<std::size_t>(t * 50 + i)];
         auto f = pool.offload_with_retry(
-            [&] {
-              if (flaky_attempts.fetch_add(1) % 3 == 0) {
+            [&ran, tries] {
+              if (tries->fetch_add(1) == 0) {
                 throw std::runtime_error("transient");
               }
               ran.fetch_add(1, std::memory_order_relaxed);
@@ -301,6 +305,7 @@ TEST(PoolStress, MixedStorm) {
   for (auto& p : producers) p.join();
   for (auto& f : retry_futures) f.get();
   EXPECT_EQ(ran.load(), 4 * 50);
+  for (const std::atomic<int>& tries : attempts) EXPECT_EQ(tries.load(), 2);
   EXPECT_EQ(loop_sum.load(), 20 * 512);
 }
 
